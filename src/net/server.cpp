@@ -22,20 +22,27 @@ namespace {
   throw IoError(std::string(what) + ": " + std::strerror(errno));
 }
 
+// The verbs an Engine and a ShardRouter answer alike.
+template <typename Admin>
+AdminHooks stats_hooks(Admin& backend) {
+  AdminHooks hooks;
+  hooks.class_stats = [&backend](serve::Priority p) {
+    return backend.class_stats(p);
+  };
+  hooks.metrics_text = [&backend] {
+    serve::MetricsRegistry registry;
+    backend.export_metrics(registry);
+    return registry.render_prometheus();
+  };
+  return hooks;
+}
+
 }  // namespace
 
 // --- Admin hooks -----------------------------------------------------------
 
 AdminHooks make_admin_hooks(serve::ShardRouter& router) {
-  AdminHooks hooks;
-  hooks.class_stats = [&router](serve::Priority p) {
-    return router.class_stats(p);
-  };
-  hooks.metrics_text = [&router] {
-    serve::MetricsRegistry registry;
-    router.export_metrics(registry);
-    return registry.render_prometheus();
-  };
+  AdminHooks hooks = stats_hooks(router);
   hooks.shard_ctl = [&router](ShardVerb verb, std::size_t index) {
     switch (verb) {
       case ShardVerb::kHealth: break;
@@ -51,27 +58,24 @@ AdminHooks make_admin_hooks(serve::ShardRouter& router) {
     return health;
   };
   hooks.model_info = [&router](serve::ModelId id) {
-    // Shard 0 mirrors the fleet-wide registry (ids, names, versions and
-    // tombstones are kept in lockstep across shards by construction).
-    const serve::Engine& e = router.shard(0);
+    const store::ModelRow row = router.model_row(id);
     WireModelInfo m;
     m.id = id;
-    m.name = e.model_name(id);
-    m.retired = e.model_retired(id);
-    m.version = e.model_version(id);
-    m.priority = e.model_priority(id);
+    m.name = row.name;
+    m.retired = row.retired;
+    m.version = row.version;
+    m.priority = row.qos.priority;
     if (!m.retired) {
-      m.input_width = static_cast<std::uint32_t>(e.model(id).input_width());
-      m.output_width = static_cast<std::uint32_t>(e.model(id).output_width());
+      m.input_width = static_cast<std::uint32_t>(row.dnn->input_width());
+      m.output_width = static_cast<std::uint32_t>(row.dnn->output_width());
     }
     m.pending = router.pending(id);
     return m;
   };
   hooks.save_model = [&router](serve::ModelId id, const std::string& path) {
-    // Shard 0 mirrors the fleet-wide registry; every shard serves the
-    // same shared SparseDnn, so shard 0's weights ARE the model.
-    const serve::Engine& e = router.shard(0);
-    store::save_artifact(path, e.model(id), e.model_name(id));
+    const store::ModelRow row = router.model_row(id);
+    RADIX_REQUIRE(!row.retired, "ShardRouter: model is removed");
+    store::save_artifact(path, *row.dnn, row.name);
     return static_cast<std::uint64_t>(std::filesystem::file_size(path));
   };
   hooks.load_model = [&router](const std::string& path,
@@ -79,21 +83,13 @@ AdminHooks make_admin_hooks(serve::ShardRouter& router) {
     store::ArtifactReader reader(path);
     auto dnn = std::make_shared<const infer::SparseDnn>(reader.instantiate());
     return router.add_model(std::move(dnn),
-                            name.empty() ? reader.name() : name);
+                            name.empty() ? reader.name() : name, {}, path);
   };
   return hooks;
 }
 
 AdminHooks make_admin_hooks(serve::Engine& engine) {
-  AdminHooks hooks;
-  hooks.class_stats = [&engine](serve::Priority p) {
-    return engine.class_stats(p);
-  };
-  hooks.metrics_text = [&engine] {
-    serve::MetricsRegistry registry;
-    engine.export_metrics(registry);
-    return registry.render_prometheus();
-  };
+  AdminHooks hooks = stats_hooks(engine);
   hooks.shard_ctl = [&engine](ShardVerb verb, std::size_t index) {
     RADIX_REQUIRE(index == 0, "single-engine backend has only shard 0");
     switch (verb) {
@@ -169,6 +165,19 @@ void Server::WakeState::wake() {
   (void)!::write(fd, &one, sizeof(one));
 }
 
+void Server::WakeState::deliver(Connection& conn,
+                                std::span<const std::uint8_t> frame) {
+  {
+    std::scoped_lock lock(conn.m);
+    if (!conn.open) {
+      orphaned.fetch_add(1);
+      return;
+    }
+    conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
+  }
+  wake();
+}
+
 void Server::WakeState::invalidate() {
   std::scoped_lock lock(m);
   fd = -1;
@@ -219,7 +228,7 @@ void Server::wait() {
   stop_cv_.wait(lock, [this] { return stopping_.load(); });
 }
 
-void Server::stop() {
+void Server::request_stop() {
   stopping_.store(true);
   {
     std::scoped_lock lock(mutex_);
@@ -227,6 +236,10 @@ void Server::stop() {
     job_cv_.notify_all();
   }
   wake();
+}
+
+void Server::stop() {
+  request_stop();
   std::scoped_lock stop_lock(stop_mutex_);
   if (loop_thread_.joinable()) loop_thread_.join();
   for (std::thread& t : pool_) {
@@ -308,10 +321,12 @@ void Server::event_loop() {
         if (it != connections_.end()) conn = it->second;
       }
       if (!conn) continue;
-      bool ok = true;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) ok = false;
-      if (ok && (events[i].events & EPOLLIN)) ok = handle_readable(conn);
-      if (ok && (events[i].events & EPOLLOUT)) ok = handle_writable(conn);
+      // A hang-up or error is read like EPOLLIN first, so the frames
+      // that arrived before it still run; then the connection closes.
+      const auto ev = events[i].events;
+      bool ok = (ev & (EPOLLHUP | EPOLLERR)) == 0;
+      if (ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) ok = handle_readable(conn) && ok;
+      if (ok && (ev & EPOLLOUT)) ok = handle_writable(conn);
       if (!ok) close_connection(conn);
     }
 
@@ -357,16 +372,19 @@ void Server::accept_new() {
 }
 
 bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
+  // Frames that arrived before an EOF or error still run; only then
+  // does the connection close (their responses are orphaned).
+  bool open = true;
+  while (open) {
     IoStatus status;
     try {
       status = read_some(conn->fd, conn->inbuf);
     } catch (const IoError&) {
-      return false;
+      status = IoStatus::kClosed;
     }
-    if (status == IoStatus::kClosed) return false;
     if (status == IoStatus::kWouldBlock) break;
-    if (conn->inbuf.size() > 2 * kMaxFrameBytes) return false;
+    open = status != IoStatus::kClosed &&
+           conn->inbuf.size() <= 2 * kMaxFrameBytes;
   }
   try {
     while (auto frame = try_parse_frame(conn->inbuf)) {
@@ -377,7 +395,7 @@ bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
   } catch (const IoError&) {
     return false;  // corrupt framing: protocol violation, drop the peer
   }
-  return true;
+  return open;
 }
 
 bool Server::handle_writable(const std::shared_ptr<Connection>& conn) {
@@ -568,15 +586,9 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
     case MsgType::kShutdownReq: {
       r.expect_end();
       enqueue_response(conn, MsgType::kShutdownResp, frame.correlation, body);
-      // Flag + wake; the event loop flushes the response (bounded grace)
-      // before it exits, and wait() unblocks the serving main.
-      stopping_.store(true);
-      {
-        std::scoped_lock lock(mutex_);
-        stop_cv_.notify_all();
-        job_cv_.notify_all();
-      }
-      wake();
+      // The event loop flushes the response (bounded grace) before it
+      // exits, and wait() unblocks the serving main.
+      request_stop();
       return;
     }
     default:
@@ -631,21 +643,10 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
     w.u32(static_cast<std::uint32_t>(timing.batch_rows));
     w.u64(timing.request_id);
     w.floats(error ? std::span<const float>{} : output);
-    const auto frame_bytes =
-        encode_frame(MsgType::kResult, correlation, body);
-    {
-      std::scoped_lock lock(conn->m);
-      if (!conn->open) {
-        // Client disconnected mid-request: the response is dropped
-        // here, with the capsule -- never written to a dead (or
-        // recycled) fd.
-        wake_state->orphaned.fetch_add(1);
-        return;
-      }
-      conn->outbuf.insert(conn->outbuf.end(), frame_bytes.begin(),
-                          frame_bytes.end());
-    }
-    wake_state->wake();
+    // A client that disconnected mid-request orphans the response here,
+    // with the capsule.
+    wake_state->deliver(*conn, encode_frame(MsgType::kResult, correlation,
+                                            body));
   };
 
   serve::SubmitResult result =
@@ -665,17 +666,7 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
 void Server::enqueue_response(const std::shared_ptr<Connection>& conn,
                               MsgType type, std::uint64_t correlation,
                               std::span<const std::uint8_t> body) {
-  const auto frame_bytes = encode_frame(type, correlation, body);
-  {
-    std::scoped_lock lock(conn->m);
-    if (!conn->open) {
-      wake_state_->orphaned.fetch_add(1);
-      return;
-    }
-    conn->outbuf.insert(conn->outbuf.end(), frame_bytes.begin(),
-                        frame_bytes.end());
-  }
-  wake();
+  wake_state_->deliver(*conn, encode_frame(type, correlation, body));
 }
 
 void Server::enqueue_error(const std::shared_ptr<Connection>& conn,

@@ -143,6 +143,7 @@ class Server {
   struct Connection;
   struct Job;
 
+  void request_stop();  // flag the stop, wake every waiter
   void event_loop();
   void pool_loop();
   void accept_new();
@@ -156,8 +157,7 @@ class Server {
   void execute_submit(const std::shared_ptr<Connection>& conn,
                       const Frame& frame);
 
-  /// Append an encoded frame to the connection's output queue and wake
-  /// the event loop; drops (and counts) when the connection is closed.
+  /// Encode a frame and WakeState::deliver it.
   void enqueue_response(const std::shared_ptr<Connection>& conn, MsgType type,
                         std::uint64_t correlation,
                         std::span<const std::uint8_t> body);
@@ -174,6 +174,10 @@ class Server {
     int fd = -1;  // -1 once the server is stopping; never written after
     std::atomic<std::uint64_t> orphaned{0};
     void wake();
+    /// Append `frame` to `conn`'s output queue and wake the loop; a
+    /// closed connection drops and counts it instead -- a frame is never
+    /// written to a dead (or recycled) fd.
+    void deliver(Connection& conn, std::span<const std::uint8_t> frame);
     void invalidate();
   };
 

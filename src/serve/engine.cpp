@@ -98,10 +98,12 @@ void Engine::publish_locked(ModelId id, std::shared_ptr<const ModelState> st) {
 }
 
 ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
-                          std::string name, QosPolicy qos) {
+                          std::string name, QosPolicy qos,
+                          std::uint32_t version) {
   RADIX_REQUIRE(model != nullptr, "Engine: model must not be null");
   auto st = std::make_shared<ModelState>();
   st->dnn = std::move(model);
+  st->version = version;
   st->input_width = st->dnn->input_width();
   st->output_width = st->dnn->output_width();
   st->stats = std::make_shared<StatsCollector>();

@@ -161,9 +161,11 @@ class Engine final : public Backend {
   /// `name` must be unique within this engine (empty generates
   /// "model-<id>"); a duplicate throws.  `qos` sets its service class /
   /// weight / knob overrides (unset fields inherit the class override,
-  /// then the engine defaults).  Safe to call while traffic is served.
+  /// then the engine defaults).  `version` starts the version counter
+  /// (a rebuilt router shard).  Safe to call while traffic is served.
   ModelId add_model(std::shared_ptr<const infer::SparseDnn> model,
-                    std::string name = "", QosPolicy qos = {});
+                    std::string name = "", QosPolicy qos = {},
+                    std::uint32_t version = 1);
 
   /// Retire a model without dropping traffic: admission for `id` closes
   /// immediately (subsequent submits are rejected as a value, blocked

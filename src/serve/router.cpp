@@ -37,6 +37,15 @@ std::uint64_t thread_random(std::uint64_t seed) noexcept {
   return mix64(seed ^ thread_salt ^ counter);
 }
 
+// The first in-rotation shard (of `healthy`) not in the `tried` bitmap.
+std::size_t untried_shard(const std::vector<std::size_t>& healthy,
+                          std::uint64_t tried) {
+  for (const std::size_t s : healthy) {
+    if (((tried >> s) & 1u) == 0) return s;
+  }
+  return kNoShard;
+}
+
 // Completion adapter for future-completion submissions (the router
 // terminates completions itself now -- the shard engines only ever see
 // callback submissions through the failover capsule).
@@ -87,8 +96,9 @@ struct ShardRouter::Relay {
   std::uint64_t tried = 0;
 };
 
-ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(std::move(options)) {
+ShardRouter::ShardRouter(ShardRouterOptions options,
+                         store::RegistryJournal log)
+    : options_(std::move(options)), log_(std::move(log)) {
   RADIX_REQUIRE(options_.shards >= 1 && options_.shards <= 64,
                 "ShardRouter: shards must be in [1, 64]");
   clock_ = options_.engine.clock ? options_.engine.clock
@@ -97,6 +107,7 @@ ShardRouter::ShardRouter(ShardRouterOptions options)
   f->engines.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     f->engines.push_back(std::make_shared<Engine>(shard_options(s)));
+    replay(*f->engines.back());
   }
   f->health.assign(options_.shards, ShardHealth::kUp);
   f->healthy.resize(options_.shards);
@@ -124,7 +135,8 @@ void ShardRouter::publish_locked(std::shared_ptr<Fleet> next) {
 }
 
 ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
-                               std::string name, QosPolicy qos) {
+                               std::string name, QosPolicy qos,
+                               const std::string& source) {
   RADIX_REQUIRE(model != nullptr, "ShardRouter: model must not be null");
   // Run every validation that can legitimately throw BEFORE the
   // registration loop; the shards re-check, but by then a throw means
@@ -132,6 +144,9 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
   RADIX_REQUIRE(static_cast<std::size_t>(qos.priority) < kNumPriorities,
                 "ShardRouter: invalid priority class");
   RADIX_REQUIRE(qos.weight >= 1, "ShardRouter: weight must be >= 1");
+  // Artifact bytes land before admin_mutex_: find_model and the admin
+  // verbs never wait on a multi-MB write.
+  store::StagedArtifact staged = log_.stage(*model, name, source);
   // The router names the model itself (rather than letting each shard
   // generate a default) so every shard registers the SAME name and
   // find_model agrees between router and shards.  admin_mutex_ makes
@@ -139,71 +154,54 @@ ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // lockstep.
   std::scoped_lock lock(admin_mutex_);
   RADIX_REQUIRE(!shutdown_, "ShardRouter: add_model after shutdown");
-  const ModelId id = registry_.size();
+  const ModelId id = log_.rows().size();
   name = detail::resolve_model_name(
       std::move(name), id,
-      [&](const std::string& n) {
-        for (const auto& e : registry_) {
-          if (!e.retired && e.name == n) return true;
-        }
-        return false;
-      },
+      [&](const std::string& n) { return log_.find(n).has_value(); },
       "ShardRouter");
-  // Down shards are skipped: restart_shard replays the registry into
-  // their replacements, so they pick this model up then.
+  // Log first: a failed commit throws here with no shard touched.
+  log_.add(model, name, qos, std::move(staged));
+  // Down shards are skipped: restart_shard replays the log into their
+  // replacements, so they pick this model up then.
   const auto f = fleet();  // engines are stable under admin_mutex_
-  std::vector<std::size_t> registered;
-  registered.reserve(f->engines.size());
+  std::size_t s = 0;  // the live shards below s registered the model
   try {
-    for (std::size_t s = 0; s < f->engines.size(); ++s) {
+    for (; s < f->engines.size(); ++s) {
       if (f->health[s] == ShardHealth::kDown) continue;
       if (options_.registration_hook) options_.registration_hook(s, id);
       const ModelId shard_id = f->engines[s]->add_model(model, name, qos);
       RADIX_ASSERT(shard_id == id, "ShardRouter: shard ids out of sync");
-      registered.push_back(s);
     }
   } catch (...) {
     // All-or-nothing: unwind the shards that did register and burn the
     // id on the ones that did not, so every shard's next id is the same
     // again.  remove_model leaves a tombstone at `id` (engine ids are
     // never reused); add_tombstone creates the same tombstone on the
-    // untouched shards.  The registry records the burned id so restart
-    // replays it too.
-    for (std::size_t s = 0; s < f->engines.size(); ++s) {
-      if (f->health[s] == ShardHealth::kDown) continue;
-      const bool got = std::find(registered.begin(), registered.end(), s) !=
-                       registered.end();
-      if (got) {
-        f->engines[s]->remove_model(id);
+    // untouched shards.  The log burns the id too, so restart replays
+    // the tombstone.
+    for (std::size_t r = 0; r < f->engines.size(); ++r) {
+      if (f->health[r] == ShardHealth::kDown) continue;
+      if (r < s) {
+        f->engines[r]->remove_model(id);
       } else {
-        const ModelId t = f->engines[s]->add_tombstone();
+        const ModelId t = f->engines[r]->add_tombstone();
         RADIX_ASSERT(t == id, "ShardRouter: shard ids out of sync");
       }
     }
-    ModelEntry burned;
-    burned.retired = true;
-    registry_.push_back(std::move(burned));
+    log_.burn(id);
     throw;
   }
-  ModelEntry entry;
-  entry.dnn = std::move(model);
-  entry.name = std::move(name);
-  entry.qos = qos;
-  registry_.push_back(std::move(entry));
   return id;
 }
 
 void ShardRouter::remove_model(ModelId id) {
   std::scoped_lock lock(admin_mutex_);
-  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
-  RADIX_REQUIRE(!registry_[id].retired, "ShardRouter: model already removed");
+  log_.remove(id);  // checks the id; releases the log's hold on the weights
   const auto f = fleet();
   for (std::size_t s = 0; s < f->engines.size(); ++s) {
     if (f->health[s] == ShardHealth::kDown) continue;
     f->engines[s]->remove_model(id);
   }
-  registry_[id].retired = true;
-  registry_[id].dnn = nullptr;  // release the weights
 }
 
 void ShardRouter::swap_model(ModelId id,
@@ -215,24 +213,25 @@ void ShardRouter::swap_model(ModelId id,
     // Engine::swap_model) finds them already built.
     dnn->prewarm();
   }
+  store::StagedArtifact staged = log_.stage(*dnn, "");
   std::scoped_lock lock(admin_mutex_);
-  RADIX_REQUIRE(id < registry_.size(), "ShardRouter: unknown model id");
-  RADIX_REQUIRE(!registry_[id].retired,
-                "ShardRouter: cannot swap a removed model");
+  // The log checks the id and the widths, so no shard refuses the version.
+  log_.swap(id, dnn, std::move(staged));
   const auto f = fleet();
   for (std::size_t s = 0; s < f->engines.size(); ++s) {
     if (f->health[s] == ShardHealth::kDown) continue;
-    // The first shard validates the version's shape; with one dnn for
-    // every shard a later-shard failure is impossible, so the cutover
-    // is all-or-nothing in practice.
     f->engines[s]->swap_model(id, dnn);
   }
-  registry_[id].dnn = std::move(dnn);
-  ++registry_[id].version;
 }
 
 std::size_t ShardRouter::num_shards() const noexcept {
   return fleet()->engines.size();
+}
+
+store::ModelRow ShardRouter::model_row(ModelId id) const {
+  std::scoped_lock lock(admin_mutex_);
+  RADIX_REQUIRE(id < log_.rows().size(), "ShardRouter: unknown model id");
+  return log_.rows()[id];
 }
 
 const Engine& ShardRouter::shard(std::size_t index) const {
@@ -303,13 +302,14 @@ void ShardRouter::restart_shard(std::size_t index) {
   // across any number of restarts.
   {
     std::scoped_lock stats_lock(carried_mutex_);
-    if (carried_.size() < registry_.size()) carried_.resize(registry_.size());
-    for (ModelId m = 0; m < registry_.size(); ++m) {
+    const std::size_t ids = log_.rows().size();
+    if (carried_.size() < ids) carried_.resize(ids);
+    for (ModelId m = 0; m < ids; ++m) {
       carried_[m].merge(f->engines[index]->stats(m));
     }
   }
   auto engine = std::make_shared<Engine>(shard_options(index));
-  replay_registry_locked(*engine);
+  replay(*engine);
   auto next = clone_fleet_locked();
   next->engines[index] = std::move(engine);
   next->health[index] = ShardHealth::kUp;
@@ -329,24 +329,15 @@ EngineOptions ShardRouter::shard_options(std::size_t index) const {
   return eo;
 }
 
-void ShardRouter::replay_registry_locked(Engine& engine) const {
-  for (ModelId id = 0; id < registry_.size(); ++id) {
-    const ModelEntry& e = registry_[id];
-    if (e.retired) {
-      // Removed models and rollback-burned ids alike: the slot exists,
-      // rejects traffic, and keeps the id space in lockstep.
-      const ModelId t = engine.add_tombstone();
-      RADIX_ASSERT(t == id, "ShardRouter: replayed ids out of sync");
-      continue;
-    }
-    const ModelId got = engine.add_model(e.dnn, e.name, e.qos);
+void ShardRouter::replay(Engine& engine) const {
+  const auto& rows = log_.rows();
+  for (ModelId id = 0; id < rows.size(); ++id) {
+    const store::ModelRow& row = rows[id];
+    // A retired row (removed model or burned id) keeps the id in step.
+    const ModelId got =
+        row.retired ? engine.add_tombstone()
+                    : engine.add_model(row.dnn, row.name, row.qos, row.version);
     RADIX_ASSERT(got == id, "ShardRouter: replayed ids out of sync");
-    // Replay the swap count so the rebuilt shard reports the same
-    // model_version as its siblings (the dnn is already the current
-    // version; the transpose caches are shared, so this is cheap).
-    for (std::uint32_t v = 1; v < e.version; ++v) {
-      engine.swap_model(id, e.dnn);
-    }
   }
 }
 
@@ -443,12 +434,7 @@ bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
   // the caller.
   for (;;) {
     const auto f = fleet();
-    std::size_t index = kNoShard;
-    for (const std::size_t s : f->healthy) {
-      if ((relay->tried >> s) & 1u) continue;
-      index = s;
-      break;
-    }
+    const std::size_t index = untried_shard(f->healthy, relay->tried);
     if (index == kNoShard) return false;
     if (dispatch(*f, index, relay, Admission::kBlock)) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -509,12 +495,7 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
     // in-rotation shards this request has not tried yet.
     if (f->engines[index]->accepting()) break;
     f = fleet();
-    index = kNoShard;
-    for (const std::size_t s : f->healthy) {
-      if ((relay->tried >> s) & 1u) continue;
-      index = s;
-      break;
-    }
+    index = untried_shard(f->healthy, relay->tried);
   }
   return SubmitResult::rejected();
 }
@@ -538,11 +519,12 @@ ServeStats ShardRouter::class_stats(Priority p) const {
   ServeStats merged;
   {
     // Carried per-model histories are folded in by class membership
-    // (registry_ keeps a removed model's QoS).  Lock order matches
+    // (the log keeps a removed model's QoS).  Lock order matches
     // restart_shard: admin before carried.
     std::scoped_lock lock(admin_mutex_, carried_mutex_);
-    for (ModelId m = 0; m < registry_.size() && m < carried_.size(); ++m) {
-      if (registry_[m].qos.priority == p) merged.merge(carried_[m]);
+    const auto& rows = log_.rows();
+    for (ModelId m = 0; m < rows.size() && m < carried_.size(); ++m) {
+      if (rows[m].qos.priority == p) merged.merge(carried_[m]);
     }
   }
   const auto f = fleet();
@@ -579,18 +561,15 @@ std::size_t ShardRouter::pending(ModelId model) const {
 std::size_t ShardRouter::num_models() const {
   std::scoped_lock lock(admin_mutex_);
   std::size_t live = 0;
-  for (const auto& e : registry_) {
-    if (!e.retired) ++live;
+  for (const auto& row : log_.rows()) {
+    if (!row.retired) ++live;
   }
   return live;
 }
 
 std::optional<ModelId> ShardRouter::find_model(std::string_view name) const {
   std::scoped_lock lock(admin_mutex_);
-  for (ModelId id = 0; id < registry_.size(); ++id) {
-    if (!registry_[id].retired && registry_[id].name == name) return id;
-  }
-  return std::nullopt;
+  return log_.find(name);
 }
 
 void ShardRouter::shutdown() {

@@ -46,11 +46,15 @@
 //     not yet claimed fails over -- the router resubmits it on a
 //     healthy shard before kill_shard returns.
 //   * restart_shard(i): return a drained shard to rotation, or replace
-//     a down shard with a fresh engine carrying the full model registry
-//     (including removed-model tombstones and swap version counters, so
-//     id spaces and versions stay in lockstep fleet-wide).  The dead
+//     a down shard with a fresh engine that replays the router's model
+//     log (store/journal.hpp: tombstones and version counts included,
+//     so id spaces and versions stay in lockstep fleet-wide).  The dead
 //     engine's stats are folded into a carried accumulator first --
 //     restarts never lose history from stats().
+//
+// Every lifecycle change is logged under the admin mutex, so log order
+// is id order.  The constructor replays a given log -- e.g. one opened
+// from a store directory at daemon boot -- the way restart_shard does.
 //
 // Failover is request-level and transparent: the router wraps every
 // submission's completion, and a completion carrying AbortedError --
@@ -90,6 +94,7 @@
 #include "serve/backend.hpp"
 #include "serve/engine.hpp"
 #include "serve/qos.hpp"
+#include "store/journal.hpp"
 
 namespace radix::serve {
 
@@ -146,7 +151,9 @@ struct ShardRouterOptions {
 
 class ShardRouter final : public Backend {
  public:
-  explicit ShardRouter(ShardRouterOptions options = {});
+  /// Starts every shard from `log`'s rows and logs every later change.
+  explicit ShardRouter(ShardRouterOptions options = {},
+                       store::RegistryJournal log = {});
   ~ShardRouter() override;  // shutdown() if still running
 
   ShardRouter(const ShardRouter&) = delete;
@@ -160,8 +167,12 @@ class ShardRouter final : public Backend {
   /// with tombstones (ids are never reused, so the per-shard id spaces
   /// stay in lockstep), then the error is rethrown -- the router keeps
   /// serving its existing models and accepts further add_model calls.
+  /// A failed log commit throws with nothing registered.  `source` is
+  /// the artifact file the model came from; a file-backed log stores a
+  /// copy of it instead of re-serializing the model.
   ModelId add_model(std::shared_ptr<const infer::SparseDnn> model,
-                    std::string name = "", QosPolicy qos = {});
+                    std::string name = "", QosPolicy qos = {},
+                    const std::string& source = "");
 
   /// Retire a model fleet-wide: Engine::remove_model on every live
   /// shard (admission closes, backlogs are served, weights released).
@@ -177,9 +188,12 @@ class ShardRouter final : public Backend {
 
   std::size_t num_shards() const noexcept;
 
+  /// Copy of model `id`'s log row.
+  store::ModelRow model_row(ModelId id) const;
+
   /// Read access to one shard (e.g. per-shard stats in benches).
   /// Deliberately const-only: mutating a shard directly (add_model,
-  /// shutdown) would desync it from the router's registry and its
+  /// shutdown) would desync it from the router's model log and its
   /// siblings.  restart_shard of a DOWN shard replaces the engine --
   /// references obtained before that point dangle after it.
   const Engine& shard(std::size_t index) const;
@@ -202,10 +216,10 @@ class ShardRouter final : public Backend {
 
   /// Return shard `index` to rotation.  A draining shard simply
   /// re-enters rotation.  A down shard is replaced by a fresh engine
-  /// that re-registers the full model registry -- ids, names, QoS,
-  /// removed-model tombstones and swap version counters all match its
-  /// siblings -- after folding the dead engine's stats into the carried
-  /// accumulator.  No-op when the shard is already up.
+  /// that replays the model log -- ids, names, QoS, tombstones and
+  /// version counts all match its siblings -- after folding the dead
+  /// engine's stats into the carried accumulator.  No-op when the shard
+  /// is already up.
   void restart_shard(std::size_t index);
 
   /// Requests successfully resubmitted on another shard after their
@@ -269,18 +283,6 @@ class ShardRouter final : public Backend {
     std::vector<std::size_t> healthy;
   };
 
-  // What restart_shard needs to rebuild a shard from nothing: the
-  // router-level source of truth for the model registry.  `version`
-  // counts swap_model cutovers so a rebuilt shard replays them and
-  // reports the same model_version as its siblings.
-  struct ModelEntry {
-    std::shared_ptr<const infer::SparseDnn> dnn;  // current version
-    std::string name;
-    QosPolicy qos;
-    std::uint32_t version = 1;
-    bool retired = false;  // removed, or burned by a rollback
-  };
-
   struct Relay;  // failover capsule; defined in router.cpp
 
   std::shared_ptr<const Fleet> fleet() const;
@@ -288,8 +290,9 @@ class ShardRouter final : public Backend {
   std::shared_ptr<Fleet> clone_fleet_locked() const;
   /// Recompute `healthy` and publish; caller holds admin_mutex_.
   void publish_locked(std::shared_ptr<Fleet> next);
-  /// Register registry_ (tombstones, versions and all) on a new engine.
-  void replay_registry_locked(Engine& engine) const;
+  /// Register the log's rows on a new engine; caller holds
+  /// admin_mutex_ or is the constructor.
+  void replay(Engine& engine) const;
   /// Two-choice pick among fleet.healthy; SIZE_MAX when none.
   std::size_t pick_shard(const Fleet& fleet, ModelId model) const;
   /// Submit the capsule on shard `index` of `fleet`; false = rejected.
@@ -310,8 +313,8 @@ class ShardRouter final : public Backend {
 
   std::atomic<std::shared_ptr<const Fleet>> fleet_;
 
-  mutable std::mutex admin_mutex_;  // serializes lifecycle + registry
-  std::vector<ModelEntry> registry_;
+  mutable std::mutex admin_mutex_;  // serializes lifecycle + log_
+  store::RegistryJournal log_;
   bool shutdown_ = false;
 
   // Stats of engines that were replaced by restart_shard, merged per

@@ -60,20 +60,9 @@ std::vector<std::uint8_t> encode_meta(const std::string& name, float clamp,
   throw IoError(what + " " + path + ": " + std::strerror(errno));
 }
 
-void fsync_parent_dir(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;  // best effort; the rename itself already landed
-  (void)::fsync(fd);
-  (void)::close(fd);
-}
-
 // Assemble the whole artifact in memory, then commit it with
-// write-to-temp + fsync + atomic rename so a crash mid-save never
-// leaves a torn file under the final name.
+// write_file_atomic so a crash mid-save never leaves a torn file under
+// the final name.
 void commit_artifact(const std::string& path, std::uint32_t flags,
                      const std::vector<Payload>& payloads) {
   const std::uint32_t nsec = static_cast<std::uint32_t>(payloads.size());
@@ -120,36 +109,42 @@ void commit_artifact(const std::string& path, std::uint32_t flags,
     append_bytes(file, payloads[i].data, payloads[i].size);
   }
 
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) throw_errno("artifact: cannot create", tmp);
-  std::size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n = ::write(fd, file.data() + written,
-                              file.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      (void)::close(fd);
-      (void)::unlink(tmp.c_str());
-      throw_errno("artifact: write failed", tmp);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    (void)::close(fd);
-    (void)::unlink(tmp.c_str());
-    throw_errno("artifact: fsync failed", tmp);
-  }
-  (void)::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)::unlink(tmp.c_str());
-    throw_errno("artifact: rename failed", path);
-  }
-  fsync_parent_dir(path);
+  write_file_atomic(path, {reinterpret_cast<const char*>(file.data()),
+                           file.size()});
 }
 
 }  // namespace
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) throw_errno("store: cannot create", tmp);
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written,
+                              bytes.size() - written);
+    if (n < 0 && errno != EINTR) break;
+    if (n > 0) written += static_cast<std::size_t>(n);
+  }
+  const bool synced = written == bytes.size() && ::fsync(fd) == 0;
+  int err = errno;
+  (void)::close(fd);
+  if (!synced || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (synced) err = errno;
+    (void)::unlink(tmp.c_str());
+    errno = err;
+    throw_errno("store: cannot commit", path);
+  }
+  // Best effort: the rename itself already landed.
+  const auto slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return;
+  (void)::fsync(dir_fd);
+  (void)::close(dir_fd);
+}
 
 void save_artifact(const std::string& path, const infer::SparseDnn& dnn,
                    const std::string& name) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "infer/sparse_dnn.hpp"
@@ -27,6 +28,11 @@
 #include "store/format.hpp"
 
 namespace radix::store {
+
+/// Commit `bytes` as the file at `path`, crash-safely: write
+/// `path`.tmp, fsync it, rename it over `path`, fsync the directory.  A
+/// reader sees the old file or the new one, never a torn one.
+void write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Serialize `dnn` as a full-CSR artifact at `path` (temp + rename).
 void save_artifact(const std::string& path, const infer::SparseDnn& dnn,

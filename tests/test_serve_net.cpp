@@ -9,6 +9,7 @@
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -383,6 +384,41 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
   const auto small = gc::synthetic_input(1, 1024, 0.4, irng);
   EXPECT_EQ(remote.submit(serve::InferenceRequest::owned(0, small, 1)).get(),
             direct_forward(*s.dnn, small, 1));
+}
+
+TEST(ServeNet, HalfCloseStillRunsEveryBufferedSubmit) {
+  // A client that writes, half-closes and closes without reading: every
+  // kSubmit that reached the server before the EOF must still be run
+  // and counted -- the EOF (or the hang-up it turns into) must not drop
+  // frames already buffered on the connection.
+  Served s = engine_served();
+  constexpr std::uint64_t kSubmits = 32;
+  Rng irng(82);
+  const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
+  {
+    Fd fd = connect_tcp(s.server->port());
+    for (std::uint64_t i = 0; i < kSubmits; ++i) {
+      std::vector<std::uint8_t> body;
+      WireWriter w(body);
+      w.u64(0);                                  // model
+      w.u32(1);                                  // rows
+      w.u8(static_cast<std::uint8_t>(serve::Admission::kBlock));
+      w.i64(0);                                  // admission timeout
+      w.i64(0);                                  // deadline
+      w.u64(0);                                  // trace id
+      w.floats(input);
+      send_frame(fd, MsgType::kSubmit, i, body);
+    }
+    ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+  }  // and close
+
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (s.engine->stats(0).requests < kSubmits &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_EQ(s.engine->stats(0).requests, kSubmits)
+      << "submits sent before the close were dropped";
 }
 
 TEST(ServeNet, LocalShutdownDrainsAndStopsAdmitting) {

@@ -297,6 +297,12 @@ TEST(ServeOverload, FailoverCarriesRemainingDeadlineNotAFreshBudget) {
   // resubmission, which would serve the request fresh.
   clock.advance(11ms);
   std::thread killer([&] { router.kill_shard(victim_shard); });
+  // The abort takes the victim off the dead shard's queue in the same
+  // step that closes it.  Advancing virtual time past the injected wait
+  // before that step would let the shard's own worker claim (and
+  // expire) the victim, so wait for the close first.
+  ASSERT_TRUE(eventually(
+      [&] { return !router.shard(victim_shard).accepting(); }));
   // kill_shard joins the dead shard's worker, which is parked in its
   // injected wait: walk virtual time forward until the join returns.
   ASSERT_TRUE(eventually([&] {

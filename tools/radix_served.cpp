@@ -1,8 +1,8 @@
 // radix-served: the networked serving daemon.
 //
-// Builds a Graph-Challenge model fleet, stands an Engine (--shards 1)
-// or a ShardRouter (--shards N) behind the epoll front-end
-// (net/server.hpp), prints "LISTENING <port>" once the socket is
+// Builds a Graph-Challenge model fleet, stands a ShardRouter of
+// --shards engines (1 is a router of one shard) behind the epoll
+// front-end (net/server.hpp), prints "LISTENING <port>" once the socket is
 // bound (scripts parse that line -- with --port 0 it is the only way
 // to learn the ephemeral port), and serves until radix-ctl sends the
 // shutdown verb (or SIGTERM/SIGINT arrives).
@@ -15,27 +15,21 @@
 // interactive class, the rest are batch class, so the per-class stats
 // verbs have something to show.
 //
-// With --store-dir <dir> the daemon is restartable warm: on first boot
-// it saves every default model as a RADIXART artifact into <dir> and
-// journals the registrations (store/journal.hpp); on any later boot it
-// replays the journal and mmaps the artifacts back instead of
-// rebuilding, so a kill -9 + restart serves the exact pre-crash model
-// set bit-identically.  Models registered at runtime through the
-// `radix-ctl load` verb are copied into the store and journaled too.
+// With --store-dir <dir> the router's model log (store/journal.hpp)
+// lives in <dir>: the first boot saves the default models there, later
+// boots replay the log and mmap the artifacts back, so a kill -9 +
+// restart serves the exact pre-crash model set -- runtime loads, ids,
+// versions and tombstones included -- bit-identically.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "infer/sparse_dnn.hpp"
 #include "net/server.hpp"
 #include "radixnet/graph_challenge.hpp"
-#include "serve/engine.hpp"
 #include "serve/router.hpp"
-#include "store/artifact.hpp"
 #include "store/journal.hpp"
 #include "support/args.hpp"
 #include "support/random.hpp"
@@ -55,7 +49,7 @@ void handle_signal(int) { g_signaled = 1; }
 int main(int argc, char** argv) {
   Args args;
   args.add_flag("port", "0", "TCP port on 127.0.0.1 (0 = ephemeral)");
-  args.add_flag("shards", "2", "engine shards (1 = single engine)");
+  args.add_flag("shards", "2", "engine shards behind the router");
   args.add_flag("workers", "1", "worker threads per shard");
   args.add_flag("models", "2", "models to register");
   args.add_flag("neurons", "1024", "challenge network width");
@@ -74,42 +68,26 @@ int main(int argc, char** argv) {
   }
 
   try {
-    serve::EngineOptions engine_options;
-    engine_options.workers =
+    serve::ShardRouterOptions router_options;
+    router_options.shards = static_cast<std::size_t>(args.get_int("shards"));
+    router_options.engine.workers =
         static_cast<unsigned>(args.get_int("workers"));
-    engine_options.queue_capacity =
+    router_options.engine.queue_capacity =
         static_cast<std::size_t>(args.get_int("queue-capacity"));
 
-    const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-    const auto models = static_cast<std::size_t>(args.get_int("models"));
-
-    std::unique_ptr<serve::Engine> engine;
-    std::unique_ptr<serve::ShardRouter> router;
-    serve::Backend* backend = nullptr;
-    net::AdminHooks hooks;
-    if (shards <= 1) {
-      engine = std::make_unique<serve::Engine>(engine_options);
-      backend = engine.get();
-      hooks = net::make_admin_hooks(*engine);
+    // Boot: open the log, replay it, seed the defaults if it is empty.
+    const std::string store_dir = args.get("store-dir");
+    serve::ShardRouter router(router_options,
+                              store_dir.empty()
+                                  ? store::RegistryJournal()
+                                  : store::RegistryJournal(store_dir));
+    if (router.num_models() > 0) {
+      std::printf("radix-served: warm restart from %s (%zu models)\n",
+                  store_dir.c_str(), router.num_models());
     } else {
-      serve::ShardRouterOptions router_options;
-      router_options.shards = shards;
-      router_options.engine = engine_options;
-      router = std::make_unique<serve::ShardRouter>(router_options);
-      backend = router.get();
-      hooks = net::make_admin_hooks(*router);
-    }
-
-    const auto register_model =
-        [&](std::shared_ptr<const infer::SparseDnn> m, const std::string& n,
-            serve::QosPolicy qos) {
-          return engine ? engine->add_model(std::move(m), n, qos)
-                        : router->add_model(std::move(m), n, qos);
-        };
-    const auto build_defaults = [&](auto&& place) {
-      // place(dnn, name, qos) for each default model; model-0 is
-      // interactive class, the rest batch, so the per-class stats verbs
-      // have something to show.
+      // model-0 is interactive class, the rest batch, so the per-class
+      // stats verbs have something to show.
+      const auto models = static_cast<std::size_t>(args.get_int("models"));
       Rng rng(42);
       const auto neurons = static_cast<index_t>(args.get_int("neurons"));
       const auto layers = static_cast<std::size_t>(args.get_int("layers"));
@@ -120,72 +98,12 @@ int main(int argc, char** argv) {
         serve::QosPolicy qos;
         qos.priority = i == 0 ? serve::Priority::kInteractive
                               : serve::Priority::kBatch;
-        place(dnn, "model-" + std::to_string(i), qos);
+        router.add_model(dnn, "model-" + std::to_string(i), qos);
       }
-    };
-
-    const std::string store_dir = args.get("store-dir");
-    std::unique_ptr<store::RegistryJournal> journal;
-    std::mutex journal_mutex;  // hooks run on concurrent submit workers
-    if (store_dir.empty()) {
-      build_defaults([&](const auto& dnn, const std::string& n,
-                         serve::QosPolicy qos) { register_model(dnn, n, qos); });
-    } else {
-      std::filesystem::create_directories(store_dir);
-      journal = std::make_unique<store::RegistryJournal>(store_dir);
-      const auto live = journal->live();
-      if (live.empty()) {
-        // Cold boot: seed the store -- save each default model as an
-        // artifact and journal the registration, so the NEXT boot is
-        // warm.
-        build_defaults([&](const auto& dnn, const std::string& n,
-                           serve::QosPolicy qos) {
-          register_model(dnn, n, qos);
-          const std::string file = n + ".radixart";
-          store::save_artifact(store_dir + "/" + file, *dnn, n);
-          journal->append({store::JournalOp::kAdd, n, file,
-                           static_cast<std::uint8_t>(qos.priority)});
-        });
+      if (!store_dir.empty()) {
         std::printf("radix-served: seeded store %s (%zu artifacts)\n",
                     store_dir.c_str(), models);
-      } else {
-        // Warm restart: mmap every live artifact back under its journaled
-        // name and class; no model is rebuilt.
-        for (const store::JournalEvent& ev : live) {
-          const std::string path =
-              !ev.artifact.empty() && ev.artifact.front() == '/'
-                  ? ev.artifact
-                  : store_dir + "/" + ev.artifact;
-          store::ArtifactReader reader(path);
-          auto dnn =
-              std::make_shared<const infer::SparseDnn>(reader.instantiate());
-          serve::QosPolicy qos;
-          qos.priority = static_cast<serve::Priority>(ev.priority);
-          register_model(std::move(dnn), ev.model, qos);
-        }
-        std::printf("radix-served: warm restart from %s (%zu models)\n",
-                    store_dir.c_str(), live.size());
       }
-      // Persist runtime loads: copy the artifact into the store under
-      // the registered name and journal it, so `radix-ctl load` survives
-      // a restart like the boot-time fleet does.
-      const auto inner_load = hooks.load_model;
-      hooks.load_model = [&, inner_load](const std::string& path,
-                                         const std::string& name) {
-        const serve::ModelId id = inner_load(path, name);
-        const serve::Engine& reg = engine ? *engine : router->shard(0);
-        const std::string n = reg.model_name(id);
-        const std::string file = n + ".radixart";
-        std::error_code ec;
-        std::filesystem::copy_file(
-            path, store_dir + "/" + file,
-            std::filesystem::copy_options::overwrite_existing, ec);
-        std::scoped_lock lock(journal_mutex);
-        journal->append(
-            {store::JournalOp::kAdd, n, ec ? path : file,
-             static_cast<std::uint8_t>(reg.model_priority(id))});
-        return id;
-      };
     }
 
     net::ServerOptions server_options;
@@ -193,8 +111,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(args.get_int("port"));
     server_options.submit_workers =
         static_cast<std::size_t>(args.get_int("submit-workers"));
-    server_options.hooks = std::move(hooks);
-    net::Server server(*backend, server_options);
+    server_options.hooks = net::make_admin_hooks(router);
+    net::Server server(router, server_options);
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
@@ -206,7 +124,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     server.stop();
-    backend->shutdown();
+    router.shutdown();
     std::printf("radix-served: drained (%llu connections, "
                 "%llu orphaned responses)\n",
                 static_cast<unsigned long long>(server.connections_accepted()),

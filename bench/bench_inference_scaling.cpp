@@ -10,7 +10,10 @@
 //       for bias/ReLU/clamp, and a final count_if for the stats.
 //   BM_InferFused      -- SparseDnn::forward with a reused
 //       InferenceWorkspace: zero steady-state allocations, fused
-//       epilogue, batch tiling, adaptive scatter/gather dispatch.
+//       epilogue, batch tiling, tile-interleaved inner panels, adaptive
+//       scatter/gather dispatch.  Also reports, per layer k,
+//       layerKK_edges_per_s (from LayerDispatch::wall_ns),
+//       layerKK_input_density and layerKK_gather (the arm, 1 = gather).
 //
 // items_per_second is the challenge metric: edges processed per second
 // = batch * sum_k nnz(W_k) / wall.  scripts/record_bench_baseline.py
@@ -22,6 +25,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -127,9 +132,13 @@ void BM_InferFused(benchmark::State& state) {
   // layers, so the loop measures the steady (zero-allocation) state.
   (void)dnn.forward(x.data(), batch, ws, nullptr);
 
+  std::vector<std::uint64_t> layer_ns(dnn.depth(), 0);
   for (auto _ : state) {
     auto y = dnn.forward(x.data(), batch, ws, &stats);
     benchmark::DoNotOptimize(y.data());
+    for (std::size_t k = 0; k < layer_ns.size(); ++k) {
+      layer_ns[k] += ws.last_dispatch()[k].wall_ns;
+    }
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch *
@@ -141,6 +150,22 @@ void BM_InferFused(benchmark::State& state) {
     if (d.chosen == infer::Kernel::kGather) ++gather_layers;
   }
   state.counters["gather_layers"] = static_cast<double>(gather_layers);
+  // Layer by layer: edges/s from LayerDispatch::wall_ns next to the
+  // input density and arm (1 = gather) that drove it.  Zero-padded
+  // names keep one layer's three counters adjacent in the output.
+  for (std::size_t k = 0; k < layer_ns.size(); ++k) {
+    const auto& d = ws.last_dispatch()[k];
+    char prefix[32];
+    std::snprintf(prefix, sizeof prefix, "layer%02zu_", k);
+    const double edges = static_cast<double>(state.iterations()) * batch *
+                         static_cast<double>(dnn.layer_view(k).nnz());
+    state.counters[std::string(prefix) + "edges_per_s"] =
+        layer_ns[k] > 0 ? edges / (static_cast<double>(layer_ns[k]) * 1e-9)
+                        : 0.0;
+    state.counters[std::string(prefix) + "input_density"] = d.input_density;
+    state.counters[std::string(prefix) + "gather"] =
+        d.chosen == infer::Kernel::kGather ? 1.0 : 0.0;
+  }
 }
 
 // Sweep batch at fixed shape, depth at fixed batch, and one wider net.

@@ -1,6 +1,7 @@
 #include "infer/sparse_dnn.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "sparse/spmm.hpp"
 #include "support/error.hpp"
@@ -140,8 +141,12 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
   std::uint64_t nz = count_nonzeros(
       input, static_cast<std::size_t>(batch) * views_.front().rows());
 
-  const float* cur = input;  // layer 0 reads the caller's batch in place
+  // Layout by layer position (sparse/spmm.hpp): layer 0 reads the
+  // caller's row-major batch in place, the activations between layers
+  // stay tiled, and the last layer writes row-major for the caller.
+  const float* cur = input;
   int out_panel = 0;
+  auto layer_start = std::chrono::steady_clock::now();
   for (std::size_t k = 0; k < views_.size(); ++k) {
     const CsrFloatView w = views_[k];
     const std::size_t in_elems =
@@ -155,24 +160,35 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
       choice = density <= kGatherDensityThreshold ? Kernel::kScatter
                                                   : Kernel::kGather;
     }
+    const PanelLayouts layouts{
+        .in = k == 0 ? PanelLayout::kRowMajor : PanelLayout::kTiled,
+        .out = k + 1 == views_.size() ? PanelLayout::kRowMajor
+                                      : PanelLayout::kTiled};
     float* dst = workspace.panel(out_panel);
     if (layer_uniform_[k] != 0) {
       nz = choice == Kernel::kScatter
                ? spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
                                               uniform_weight_[k], dst,
-                                              biases_[k], clamp_)
+                                              biases_[k], clamp_, layouts)
                : spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
                                                transposed(k),
                                                uniform_weight_[k], dst,
-                                               biases_[k], clamp_);
+                                               biases_[k], clamp_, layouts);
     } else {
       nz = choice == Kernel::kScatter
                ? spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
-                                      biases_[k], clamp_)
+                                      biases_[k], clamp_, layouts)
                : spmm_dense_csrT_fused(cur, batch, w.rows(), transposed(k),
-                                       dst, biases_[k], clamp_);
+                                       dst, biases_[k], clamp_, layouts);
     }
-    workspace.dispatch_.push_back({choice, density, nz});
+    const auto layer_end = std::chrono::steady_clock::now();
+    workspace.dispatch_.push_back(
+        {choice, density, nz,
+         static_cast<std::uint64_t>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 layer_end - layer_start)
+                 .count())});
+    layer_start = layer_end;
     cur = dst;
     out_panel ^= 1;
   }

@@ -29,6 +29,20 @@
 // ping-pong panels sized once to batch x max_layer_width, so a forward
 // pass performs zero heap allocations and never copies the input batch
 // in steady state (the first pass may build transposed layers).
+//
+// Panel layout is fixed by a layer's position in the stack, not by an
+// option (PanelLayout, sparse/spmm.hpp):
+//
+//   * layer 0 reads the caller's row-major batch in place;
+//   * the activations between layers are *tiled*: each kBatchTile-row
+//     tile stores a column's lanes contiguously, so one edge is one
+//     32-byte load in the gather arm and one cache line in the scatter
+//     arm instead of kBatchTile row-major lines;
+//   * the last layer writes row-major, so forward's result span is the
+//     same [batch x output_width] row-major matrix as ever.
+//
+// A depth-1 stack is row-major in and out.  Layout changes addresses
+// only: results are bit-identical to an all-row-major pass.
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy transpose cache is
 // mutex-guarded).
@@ -146,10 +160,10 @@ class SparseDnn {
 
   /// Zero-allocation forward: runs the full stack over the row-major
   /// [batch x input_width] batch at `input` using the workspace's
-  /// ping-pong panels.  The returned span of final activations
-  /// [batch x output_width] aliases workspace memory and stays valid
-  /// until the workspace is next written.  The input batch is read in
-  /// place, never copied.
+  /// ping-pong panels (tiled between layers, see above).  The returned
+  /// span of final activations [batch x output_width] is row-major,
+  /// aliases workspace memory and stays valid until the workspace is
+  /// next written.  The input batch is read in place, never copied.
   std::span<const float> forward(const float* input, index_t batch,
                                  InferenceWorkspace& workspace,
                                  InferenceStats* stats = nullptr) const;

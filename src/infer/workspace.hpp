@@ -9,6 +9,15 @@
 // allocations and zero input copies in steady state -- the property the
 // Graph-Challenge edges/second metric rewards.
 //
+// Between layers the panels hold activations in the tiled layout of
+// sparse/spmm.hpp (PanelLayout::kTiled): the tile of L <= kBatchTile
+// rows starting at row t0 stores (t0 + j, c) at t0 * width + c * L + j.
+// A partial last tile uses lane stride L, so a tiled panel is exactly
+// batch x width floats -- the same capacity as a row-major one.  Only
+// the last layer's panel, the one forward returns, is row-major.  The
+// panels are 64-byte aligned, so a full tile's 8 lanes of one column
+// sit in one cache line.
+//
 // The workspace also records, per layer of the last forward pass, which
 // kernel the adaptive dispatch chose and the activation density that
 // drove the choice (see sparse_dnn.hpp for the dispatch policy), and
@@ -35,6 +44,9 @@ struct LayerDispatch {
   Kernel chosen = Kernel::kAuto;   ///< kScatter or kGather after a pass
   double input_density = 0.0;      ///< nonzero fraction of the layer input
   std::uint64_t nonzero_outputs = 0;  ///< epilogue byproduct
+  /// Wall time of the layer's fused kernel (one steady-clock read per
+  /// layer).
+  std::uint64_t wall_ns = 0;
 };
 
 class InferenceWorkspace {
@@ -47,7 +59,9 @@ class InferenceWorkspace {
   void reserve(index_t batch, index_t max_width);
 
   /// Floats per activation panel currently allocated.
-  std::size_t capacity() const noexcept { return buf_[0].size(); }
+  std::size_t capacity() const noexcept {
+    return buf_[0].empty() ? 0 : buf_[0].size() - kLineFloats;
+  }
 
   /// Pin every layer to one kernel arm (tests / benchmarking); kAuto
   /// restores the density heuristic.
@@ -61,7 +75,9 @@ class InferenceWorkspace {
   }
 
   /// Stable address of panel 0; tests use it to prove buffer reuse.
-  const float* panel_data() const noexcept { return buf_[0].data(); }
+  const float* panel_data() const noexcept {
+    return buf_[0].data() + line_offset(buf_[0].data());
+  }
 
   /// True when p points into one of the activation panels (used to
   /// reject inputs that alias memory the kernels are about to rewrite).
@@ -77,7 +93,22 @@ class InferenceWorkspace {
  private:
   friend class SparseDnn;
 
-  float* panel(int i) noexcept { return buf_[i].data(); }
+  float* panel(int i) noexcept {
+    return buf_[i].data() + line_offset(buf_[i].data());
+  }
+
+  // Each buffer carries kLineFloats spare floats so its panel can start
+  // on a 64-byte boundary: a full tile's 8 lanes of one column (32 bytes
+  // at a multiple of 32) then never straddle two cache lines.  Plain
+  // allocation plus an offset, not an aligned allocator: with glibc 2.36
+  // the aligned path kept freed panels resident across repeated
+  // workspace lifetimes (+4 MB peak RSS in the challenge benchmark's
+  // repeated set-up).
+  static constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  static std::size_t line_offset(const float* p) noexcept {
+    const auto misalign = reinterpret_cast<std::uintptr_t>(p) % 64;
+    return misalign == 0 ? 0 : (64 - misalign) / sizeof(float);
+  }
 
   std::vector<float> buf_[2];
   std::vector<LayerDispatch> dispatch_;

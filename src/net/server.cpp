@@ -57,20 +57,26 @@ AdminHooks make_admin_hooks(serve::ShardRouter& router) {
     }
     return health;
   };
-  hooks.model_info = [&router](serve::ModelId id) {
-    const store::ModelRow row = router.model_row(id);
-    WireModelInfo m;
-    m.id = id;
-    m.name = row.name;
-    m.retired = row.retired;
-    m.version = row.version;
-    m.priority = row.qos.priority;
-    if (!m.retired) {
-      m.input_width = static_cast<std::uint32_t>(row.dnn->input_width());
-      m.output_width = static_cast<std::uint32_t>(row.dnn->output_width());
+  hooks.list_models = [&router] {
+    std::vector<WireModelInfo> models;
+    const std::vector<store::ModelRow> rows = router.model_rows();
+    for (serve::ModelId id = 0; id < rows.size(); ++id) {
+      const store::ModelRow& row = rows[id];
+      WireModelInfo m;
+      m.id = id;
+      m.name = row.name;
+      m.retired = row.retired;
+      m.version = row.version;
+      m.priority = row.qos.priority;
+      if (!m.retired) {
+        m.input_width = static_cast<std::uint32_t>(row.dnn->input_width());
+        m.output_width =
+            static_cast<std::uint32_t>(row.dnn->output_width());
+      }
+      m.pending = router.pending(id);
+      models.push_back(std::move(m));
     }
-    m.pending = router.pending(id);
-    return m;
+    return models;
   };
   hooks.save_model = [&router](serve::ModelId id, const std::string& path) {
     const store::ModelRow row = router.model_row(id);
@@ -103,21 +109,25 @@ AdminHooks make_admin_hooks(serve::Engine& engine) {
                                                ? serve::ShardHealth::kUp
                                                : serve::ShardHealth::kDown};
   };
-  hooks.model_info = [&engine](serve::ModelId id) {
-    WireModelInfo m;
-    m.id = id;
-    m.name = engine.model_name(id);
-    m.retired = engine.model_retired(id);
-    m.version = engine.model_version(id);
-    m.priority = engine.model_priority(id);
-    if (!m.retired) {
-      m.input_width =
-          static_cast<std::uint32_t>(engine.model(id).input_width());
-      m.output_width =
-          static_cast<std::uint32_t>(engine.model(id).output_width());
+  hooks.list_models = [&engine] {
+    std::vector<WireModelInfo> models;
+    for (serve::ModelId id = 0; id < engine.num_ids(); ++id) {
+      WireModelInfo m;
+      m.id = id;
+      m.name = engine.model_name(id);
+      m.retired = engine.model_retired(id);
+      m.version = engine.model_version(id);
+      m.priority = engine.model_priority(id);
+      if (!m.retired) {
+        m.input_width =
+            static_cast<std::uint32_t>(engine.model(id).input_width());
+        m.output_width =
+            static_cast<std::uint32_t>(engine.model(id).output_width());
+      }
+      m.pending = engine.pending(id);
+      models.push_back(std::move(m));
     }
-    m.pending = engine.pending(id);
-    return m;
+    return models;
   };
   hooks.save_model = [&engine](serve::ModelId id, const std::string& path) {
     store::save_artifact(path, engine.model(id), engine.model_name(id));
@@ -512,13 +522,13 @@ void Server::execute(const std::shared_ptr<Connection>& conn,
     }
     case MsgType::kListModelsReq: {
       r.expect_end();
-      RADIX_REQUIRE(static_cast<bool>(options_.hooks.model_info),
+      RADIX_REQUIRE(static_cast<bool>(options_.hooks.list_models),
                     "radix-served: model listing unsupported by this backend");
-      const std::size_t n = backend_.num_models();
-      w.u32(static_cast<std::uint32_t>(n));
-      for (std::size_t id = 0; id < n; ++id) {
-        encode_model_info(w, options_.hooks.model_info(id));
-      }
+      // Every id, tombstones included: num_models() counts live models
+      // only, so [0, num_models()) would drop the highest live ids.
+      const std::vector<WireModelInfo> models = options_.hooks.list_models();
+      w.u32(static_cast<std::uint32_t>(models.size()));
+      for (const WireModelInfo& m : models) encode_model_info(w, m);
       enqueue_response(conn, MsgType::kListModelsResp, frame.correlation,
                        body);
       return;

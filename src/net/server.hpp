@@ -73,8 +73,9 @@ struct AdminHooks {
   /// nothing), then return every shard's health.
   std::function<std::vector<serve::ShardHealth>(ShardVerb, std::size_t)>
       shard_ctl{};
-  /// kListModelsReq: one registry row per model id.
-  std::function<WireModelInfo(serve::ModelId)> model_info{};
+  /// kListModelsReq: one row per model id ever assigned, retired ids
+  /// included, in id order.
+  std::function<std::vector<WireModelInfo>()> list_models{};
   /// kSaveModelReq: serialize model `id` as a RADIXART artifact
   /// (store/artifact.hpp) at `path` on the SERVER's filesystem; returns
   /// the artifact size in bytes.

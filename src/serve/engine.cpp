@@ -219,6 +219,10 @@ bool Engine::model_retired(ModelId id) const { return state(id)->retired; }
 
 void Engine::quiesce() { batcher_.quiesce(); }
 
+std::size_t Engine::num_ids() const {
+  return models_.load(std::memory_order_acquire)->size();
+}
+
 std::size_t Engine::num_models() const {
   const auto reg = models_.load(std::memory_order_acquire);
   std::size_t live = 0;

@@ -206,6 +206,10 @@ class Engine final : public Backend {
   /// True until remove_model(id) (add_tombstone slots are born retired).
   bool model_retired(ModelId id) const;
 
+  /// Ids assigned so far, retired ones included: every id below it is
+  /// valid for model_name / model_version / model_retired.
+  std::size_t num_ids() const;
+
   /// Block until every queue is empty and every claimed batch has
   /// completed.  Does not stop admission -- an ops-level "wait for the
   /// backlog to clear" used by graceful shard drain.

@@ -234,6 +234,11 @@ store::ModelRow ShardRouter::model_row(ModelId id) const {
   return log_.rows()[id];
 }
 
+std::vector<store::ModelRow> ShardRouter::model_rows() const {
+  std::scoped_lock lock(admin_mutex_);
+  return log_.rows();
+}
+
 const Engine& ShardRouter::shard(std::size_t index) const {
   const auto f = fleet();
   RADIX_REQUIRE(index < f->engines.size(), "ShardRouter: unknown shard");

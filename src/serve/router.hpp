@@ -191,6 +191,9 @@ class ShardRouter final : public Backend {
   /// Copy of model `id`'s log row.
   store::ModelRow model_row(ModelId id) const;
 
+  /// Copy of every log row (index == model id), retired ids included.
+  std::vector<store::ModelRow> model_rows() const;
+
   /// Read access to one shard (e.g. per-shard stats in benches).
   /// Deliberately const-only: mutating a shard directly (add_model,
   /// shutdown) would desync it from the router's model log and its

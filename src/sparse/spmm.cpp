@@ -8,16 +8,6 @@
 namespace radix {
 namespace {
 
-// Batch-tile width of the fused kernels.  Each weight-matrix row entry
-// (colind + value) is loaded once per tile of kBatchTile batch rows
-// instead of once per batch row, and the tile's kBatchTile accumulator
-// chains are independent, so out-of-order execution hides the FP-add
-// latency that serializes a one-row-at-a-time kernel.  The tile's
-// activations stay register/L1-resident across the inner row loop.
-// 8 was measured fastest on the bench host (4 leaves add-latency
-// unhidden, 16 spills accumulators).
-constexpr index_t kBatchTile = 8;
-
 // The Graph-Challenge epilogue.  Kept as two independent ifs (not
 // else-if) so the generated code is identical to the historical
 // two-pass implementation and results stay bit-exact; scale == 1.0f is
@@ -29,13 +19,59 @@ inline float epilogue(float v, float scale, float bias, float clamp) {
   return v;
 }
 
+// The one addressing helper of the fused kernels: one batch tile (rows
+// t0 .. t0+L-1) of a panel `width` columns wide, in either layout.
+// Element (lane j, column c) sits at base[col(c) + lane(j)]; exactly one
+// of the two strides is the compile-time constant 1 (columns in a
+// row-major tile, lanes in a tiled one), so a tiled tile's lanes for one
+// column are contiguous and vectorize into one load.  The tile occupies
+// panel[t0*width, (t0+L)*width) in both layouts.
+template <PanelLayout kLayout, class T>
+struct Tile {
+  T* base;             // panel + t0 * width
+  std::size_t stride;  // row-major: width (lane to lane); tiled: L
+
+  Tile(T* panel, index_t t0, index_t rows, index_t width)
+      : base(panel + static_cast<std::size_t>(t0) * width),
+        stride(kLayout == PanelLayout::kRowMajor
+                   ? static_cast<std::size_t>(width)
+                   : static_cast<std::size_t>(rows)) {}
+
+  std::size_t col(index_t c) const {
+    return kLayout == PanelLayout::kRowMajor
+               ? static_cast<std::size_t>(c)
+               : static_cast<std::size_t>(c) * stride;
+  }
+  std::size_t lane(index_t j) const {
+    return kLayout == PanelLayout::kRowMajor
+               ? static_cast<std::size_t>(j) * stride
+               : static_cast<std::size_t>(j);
+  }
+};
+
+// Runs body.template operator()<In, Out>() for the runtime layout pair,
+// so each kernel body is written once over all four combinations.
+template <class Body>
+std::uint64_t dispatch_layouts(PanelLayouts layouts, const Body& body) {
+  using enum PanelLayout;
+  if (layouts.in == kRowMajor) {
+    return layouts.out == kRowMajor
+               ? body.template operator()<kRowMajor, kRowMajor>()
+               : body.template operator()<kRowMajor, kTiled>();
+  }
+  return layouts.out == kRowMajor
+             ? body.template operator()<kTiled, kRowMajor>()
+             : body.template operator()<kTiled, kTiled>();
+}
+
 // Shared body of the fused scatter kernels.  kUniform drops the
 // per-edge value load + multiply and defers the weight to the epilogue
 // scale (see spmm.hpp).  The batch is processed in kBatchTile-row tiles:
 // each W row's entries are loaded once per tile and scattered into every
 // active tile row, after compacting the tile's nonzero activations so
-// ReLU-dead rows cost nothing in the inner loop.
-template <bool kUniform>
+// ReLU-dead rows cost nothing in the inner loop.  With a tiled output
+// the active lanes of one scattered edge share one cache line.
+template <bool kUniform, PanelLayout kIn, PanelLayout kOut>
 std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
                              CsrFloatView w, float scale, float* y,
                              float bias, float clamp) {
@@ -54,10 +90,13 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
       0, ntiles,
       [&](std::int64_t t) -> std::uint64_t {
         const index_t b0 = static_cast<index_t>(t) * kBatchTile;
-        const index_t b1 = std::min(batch, b0 + kBatchTile);
+        const index_t rows = std::min(batch - b0, kBatchTile);
+        const Tile<kIn, const float> xt(x, b0, rows, m);
+        const Tile<kOut, float> yt(y, b0, rows, n);
+        float* const tile_lo = yt.base;
+        float* const tile_hi = yt.base + static_cast<std::size_t>(rows) * n;
         // Zero the tile's output panel while it is about to become hot.
-        std::fill(y + static_cast<std::size_t>(b0) * n,
-                  y + static_cast<std::size_t>(b1) * n, 0.0f);
+        std::fill(tile_lo, tile_hi, 0.0f);
         for (index_t r = 0; r < m; ++r) {
           const offset_t lo = rowptr[r], hi = rowptr[r + 1];
           if (lo == hi) continue;
@@ -66,70 +105,71 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
           // dead.  Accumulation per output stays in ascending-r order,
           // bit-identical to the unblocked kernel.
           float xv[kBatchTile];
-          float* yb[kBatchTile];
+          std::size_t yl[kBatchTile];
           int na = 0;
-          for (index_t b = b0; b < b1; ++b) {
-            const float v = x[static_cast<std::size_t>(b) * m + r];
+          const float* xr = xt.base + xt.col(r);
+          for (index_t j = 0; j < rows; ++j) {
+            const float v = xr[xt.lane(j)];
             if (v != 0.0f) {
               xv[na] = v;
-              yb[na] = y + static_cast<std::size_t>(b) * n;
+              yl[na] = yt.lane(j);
               ++na;
             }
           }
           if (na == 0) continue;
           for (offset_t k = lo; k < hi; ++k) {
-            const index_t c = colind[k];
+            float* yc = yt.base + yt.col(colind[k]);
             if constexpr (kUniform) {
-              for (int j = 0; j < na; ++j) yb[j][c] += xv[j];
+              for (int j = 0; j < na; ++j) yc[yl[j]] += xv[j];
             } else {
               const float v = vals[k];
-              for (int j = 0; j < na; ++j) yb[j][c] += xv[j] * v;
+              for (int j = 0; j < na; ++j) yc[yl[j]] += xv[j] * v;
             }
           }
         }
-        // Fused epilogue over the still-resident tile.
+        // Fused epilogue over the still-resident tile (layout-blind:
+        // every element of the tile's range is one output).
         std::uint64_t nz = 0;
-        for (index_t b = b0; b < b1; ++b) {
-          float* row = y + static_cast<std::size_t>(b) * n;
-          for (index_t c = 0; c < n; ++c) {
-            const float v = epilogue(row[c], scale, bias, clamp);
-            row[c] = v;
-            nz += v != 0.0f ? 1 : 0;
-          }
+        for (float* p = tile_lo; p != tile_hi; ++p) {
+          const float v = epilogue(*p, scale, bias, clamp);
+          *p = v;
+          nz += v != 0.0f ? 1 : 0;
         }
         return nz;
       },
       grain_for_cost(ops_per_tile));
 }
 
-// One J-row block of the fused gather kernel: J independent accumulator
-// chains over W^T's row r, epilogue applied in registers.  J is a
-// compile-time constant so the inner loops fully unroll.
-template <bool kUniform, int J>
-std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
+// One J-lane block (lanes j0 .. j0+J-1 of a tile) of the fused gather
+// kernel: J independent accumulator chains over W^T's row r, epilogue
+// applied in registers.  J is a compile-time constant so the inner
+// loops fully unroll; over a tiled input the J loads of one edge are
+// one contiguous vector load.
+template <bool kUniform, int J, PanelLayout kIn, PanelLayout kOut>
+std::uint64_t csrT_fused_block(const Tile<kIn, const float>& xt,
+                               const Tile<kOut, float>& yt, index_t j0,
                                index_t n, std::span<const offset_t> rowptr,
                                std::span<const index_t> colind,
                                std::span<const float> vals, float scale,
-                               float* y, float bias, float clamp) {
-  const float* xb[J];
-  for (int j = 0; j < J; ++j) {
-    xb[j] = x + static_cast<std::size_t>(b0 + j) * m;
-  }
+                               float bias, float clamp) {
+  const float* const xb = xt.base + xt.lane(j0);
+  float* const yb = yt.base + yt.lane(j0);
   std::uint64_t nz = 0;
   for (index_t r = 0; r < n; ++r) {
     float acc[J] = {};
     for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      const index_t c = colind[k];
+      const float* xc = xb + xt.col(colind[k]);
       if constexpr (kUniform) {
-        for (int j = 0; j < J; ++j) acc[j] += xb[j][c];
+        for (int j = 0; j < J; ++j) acc[j] += xc[xt.lane(j)];
       } else {
         const float v = vals[k];
-        for (int j = 0; j < J; ++j) acc[j] += xb[j][c] * v;
+        for (int j = 0; j < J; ++j) acc[j] += xc[xt.lane(j)] * v;
       }
     }
+    float* yc = yb + yt.col(r);
     for (int j = 0; j < J; ++j) {
       const float v = epilogue(acc[j], scale, bias, clamp);
-      y[static_cast<std::size_t>(b0 + j) * n + r] = v;
+      yc[yt.lane(j)] = v;
       nz += v != 0.0f ? 1 : 0;
     }
   }
@@ -140,11 +180,11 @@ std::uint64_t csrT_fused_block(const float* x, index_t b0, index_t m,
 // Each W^T row entry is loaded once per kBatchTile batch rows, feeding
 // kBatchTile independent accumulator chains (out-of-order execution
 // hides the FP-add latency a single chain serializes on); partial tiles
-// step down through 4/2/1-row blocks rather than collapsing to the
+// step down through 4/2/1-lane blocks rather than collapsing to the
 // serial chain.  Every accumulator sums in ascending input-index order
 // -- the same order the scatter arm adds contributions -- so both arms
 // are bit-identical.
-template <bool kUniform>
+template <bool kUniform, PanelLayout kIn, PanelLayout kOut>
 std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
                               CsrFloatView wt, float scale, float* y,
                               float bias, float clamp) {
@@ -162,28 +202,30 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
   return parallel_reduce_sum<std::uint64_t>(
       0, ntiles,
       [&](std::int64_t t) -> std::uint64_t {
-        index_t b = static_cast<index_t>(t) * kBatchTile;
-        const index_t b1 = std::min(batch, b + kBatchTile);
+        const index_t b0 = static_cast<index_t>(t) * kBatchTile;
+        const index_t rows = std::min(batch - b0, kBatchTile);
+        const Tile<kIn, const float> xt(x, b0, rows, m);
+        const Tile<kOut, float> yt(y, b0, rows, n);
+        const auto block = [&]<int J>(index_t j0) {
+          return csrT_fused_block<kUniform, J>(xt, yt, j0, n, rowptr,
+                                               colind, vals, scale, bias,
+                                               clamp);
+        };
+        index_t j = 0;
         std::uint64_t nz = 0;
-        while (b1 - b >= 8) {
-          nz += csrT_fused_block<kUniform, 8>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
-          b += 8;
+        while (rows - j >= 8) {
+          nz += block.template operator()<8>(j);
+          j += 8;
         }
-        if (b1 - b >= 4) {
-          nz += csrT_fused_block<kUniform, 4>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
-          b += 4;
+        if (rows - j >= 4) {
+          nz += block.template operator()<4>(j);
+          j += 4;
         }
-        if (b1 - b >= 2) {
-          nz += csrT_fused_block<kUniform, 2>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
-          b += 2;
+        if (rows - j >= 2) {
+          nz += block.template operator()<2>(j);
+          j += 2;
         }
-        if (b1 - b == 1) {
-          nz += csrT_fused_block<kUniform, 1>(x, b, m, n, rowptr, colind,
-                                              vals, scale, y, bias, clamp);
-        }
+        if (rows - j == 1) nz += block.template operator()<1>(j);
         return nz;
       },
       grain_for_cost(ops_per_tile));
@@ -243,33 +285,44 @@ void spmm_dense_csrT(const float* x, index_t batch, index_t n,
 }
 
 std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
-                                   CsrFloatView w, float* y,
-                                   float bias, float clamp) {
-  return csr_fused_impl<false>(x, batch, m, w, /*scale=*/1.0f, y, bias,
-                               clamp);
+                                   CsrFloatView w, float* y, float bias,
+                                   float clamp, PanelLayouts layouts) {
+  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
+    return csr_fused_impl<false, kIn, kOut>(x, batch, m, w, /*scale=*/1.0f,
+                                            y, bias, clamp);
+  });
 }
 
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
-                                    index_t m, CsrFloatView wt,
-                                    float* y, float bias, float clamp) {
-  return csrT_fused_impl<false>(x, batch, m, wt, /*scale=*/1.0f, y, bias,
-                                clamp);
+                                    index_t m, CsrFloatView wt, float* y,
+                                    float bias, float clamp,
+                                    PanelLayouts layouts) {
+  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
+    return csrT_fused_impl<false, kIn, kOut>(x, batch, m, wt,
+                                             /*scale=*/1.0f, y, bias, clamp);
+  });
 }
 
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
                                            index_t m, CsrFloatView w,
                                            float uniform_weight, float* y,
-                                           float bias, float clamp) {
-  return csr_fused_impl<true>(x, batch, m, w, uniform_weight, y, bias,
-                              clamp);
+                                           float bias, float clamp,
+                                           PanelLayouts layouts) {
+  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
+    return csr_fused_impl<true, kIn, kOut>(x, batch, m, w, uniform_weight,
+                                           y, bias, clamp);
+  });
 }
 
 std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
-                                            float bias, float clamp) {
-  return csrT_fused_impl<true>(x, batch, m, wt, uniform_weight, y, bias,
-                               clamp);
+                                            float bias, float clamp,
+                                            PanelLayouts layouts) {
+  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
+    return csrT_fused_impl<true, kIn, kOut>(x, batch, m, wt, uniform_weight,
+                                            y, bias, clamp);
+  });
 }
 
 std::uint64_t count_nonzeros(const float* v, std::size_t n) {

@@ -31,6 +31,28 @@
 // and output panels stay cache-resident while the weight matrix streams
 // through exactly once per tile (instead of once per batch row).
 //
+// Panel layouts
+// -------------
+// A fused kernel reads and writes its activation panels in one of two
+// layouts (PanelLayout), chosen per call for input and output
+// separately.  kRowMajor is the batch-major layout above.  kTiled
+// interleaves each batch tile: the tile of L = min(kBatchTile,
+// batch - t0) rows starting at row t0 (a multiple of kBatchTile) stores
+// element (t0 + j, c) at
+//
+//     t0 * width + c * L + j
+//
+// so a full tile's 8 lanes of one column are one contiguous 32-byte run:
+// one vector load per edge in the gather arm, one cache line per
+// scattered edge in the scatter arm (row-major touches 8).  A partial
+// last tile uses lane stride L, so a tiled panel is exactly
+// batch x width floats, occupies the same [t0*width, (t0+L)*width)
+// range per tile as its row-major twin, and is the same size.  Layout
+// changes only addresses: each output lane still sums in ascending
+// input-index order, so every layout pair is bit-identical to the
+// row-major call.  SparseDnn::forward keeps the activations between
+// layers tiled (see infer/sparse_dnn.hpp).
+//
 // The fused kernels take the weight matrix as a CsrFloatView (implicitly
 // constructible from Csr<float>, so owning call sites are unchanged):
 // the inner loops only ever stream the three CSR arrays, so they run
@@ -46,6 +68,29 @@
 
 namespace radix {
 
+/// Batch-tile width of the fused kernels.  Each weight-matrix row entry
+/// (colind + value) is loaded once per tile of kBatchTile batch rows
+/// instead of once per batch row, and the tile's kBatchTile accumulator
+/// chains are independent, so out-of-order execution hides the FP-add
+/// latency that serializes a one-row-at-a-time kernel.  It is also the
+/// tile height of the kTiled panel layout.  8 was measured fastest on
+/// the bench host (4 leaves add-latency unhidden, 16 spills
+/// accumulators).
+inline constexpr index_t kBatchTile = 8;
+
+/// Memory layout of a dense [batch x width] activation panel (see
+/// "Panel layouts" above).
+enum class PanelLayout : std::uint8_t {
+  kRowMajor,  ///< (b, c) at b * width + c
+  kTiled,     ///< (t0 + j, c) at t0 * width + c * L + j, per batch tile
+};
+
+/// Layouts of a fused kernel's input and output panels.
+struct PanelLayouts {
+  PanelLayout in = PanelLayout::kRowMajor;
+  PanelLayout out = PanelLayout::kRowMajor;
+};
+
 /// y[b*n + c] += sum_r x[b*m + r] * w(r, c);  y must be zero-initialized
 /// by the caller (or hold an accumuland).
 void spmm_dense_csr(const float* x, index_t batch, index_t m,
@@ -60,10 +105,12 @@ void spmm_dense_csrT(const float* x, index_t batch, index_t n,
 /// ceiling.  y is written unconditionally (no zero-init required) and
 /// rows of W whose activation x[b*m + r] is zero are skipped entirely,
 /// which is what makes this arm win on sparse (post-ReLU) activations.
-/// Returns the number of nonzero outputs.
+/// Returns the number of nonzero outputs.  `layouts` picks the panel
+/// layouts of x and y (row-major by default).
 std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
                                    CsrFloatView w, float* y,
-                                   float bias, float clamp);
+                                   float bias, float clamp,
+                                   PanelLayouts layouts = {});
 
 /// Fused gather kernel over a pre-transposed layer: given wt = W^T
 /// (n x m), computes y[b x n] = epilogue(X[b x m] * W) by accumulating
@@ -73,7 +120,8 @@ std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
 /// number of nonzero outputs.
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt,
-                                    float* y, float bias, float clamp);
+                                    float* y, float bias, float clamp,
+                                    PanelLayouts layouts = {});
 
 /// Uniform-weight specializations: Graph-Challenge layers store one
 /// repeated nonzero value (1/16 at in-degree 32), so the inner loop can
@@ -86,12 +134,14 @@ std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
                                            index_t m, CsrFloatView w,
                                            float uniform_weight, float* y,
-                                           float bias, float clamp);
+                                           float bias, float clamp,
+                                           PanelLayouts layouts = {});
 
 std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
-                                            float bias, float clamp);
+                                            float bias, float clamp,
+                                            PanelLayouts layouts = {});
 
 /// Number of nonzero entries of a dense float array (parallel reduction).
 std::uint64_t count_nonzeros(const float* v, std::size_t n);

@@ -300,6 +300,83 @@ TEST(SparseDnnFused, AutoDispatchTracksActivationDensity) {
   EXPECT_DOUBLE_EQ(ws.last_dispatch()[0].input_density, 1.0);
 }
 
+// Panel layout by layer position: layer 0 reads the caller's row-major
+// batch, inner activations are tiled, the last layer writes row-major.
+// Every batch 1..17 puts each partial-tile size 1..7 next to full tiles.
+TEST(SparseDnnFused, TiledPanelsEveryBatchSizeDepthOneAndTwo) {
+  Rng rng(41);
+  const std::vector<Csr<float>> one = {random_layer(19, 23, 0.4, rng)};
+  const std::vector<Csr<float>> two = {random_layer(19, 23, 0.4, rng),
+                                       random_layer(23, 11, 0.4, rng)};
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    const auto x = random_input(batch, 19, 0.5, rng);
+    // Depth 1: row-major in and out.  Depth 2: row-major -> tiled ->
+    // row-major.
+    check_all_arms(one, {0.1f}, 1.5f, x, batch);
+    check_all_arms(two, {0.1f, -0.05f}, 1.5f, x, batch);
+  }
+}
+
+TEST(SparseDnnFused, TiledPanelsUniformDeepStackEveryBatchSize) {
+  // Uniform-weight challenge layers (the specialized kernels), depth 4:
+  // three tiled inner panels between row-major ends.
+  Rng rng(43);
+  const auto net = gc::network(1024, 4, &rng);
+  const std::vector<float> biases(net.layers.size(), net.bias);
+  Rng irng(44);
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
+    check_all_arms(net.layers, biases, gc::kClamp, x, batch);
+  }
+}
+
+// A layer whose in-edges all land in the first `live_cols` columns, with
+// nonnegative weights: over a dense nonnegative input its output is
+// dense there and (with bias 0) zero elsewhere.
+Csr<float> narrow_layer(index_t rows, index_t cols, index_t live_cols,
+                        Rng& rng) {
+  Coo<float> coo(rows, cols);
+  for (index_t r = 0; r < rows; ++r) {
+    for (index_t c = 0; c < live_cols; ++c) {
+      if (rng.bernoulli(0.5)) {
+        coo.push(r, c, static_cast<float>(rng.uniform(0.1, 1.0)));
+      }
+    }
+  }
+  return Csr<float>::from_coo(coo);
+}
+
+TEST(SparseDnnFused, AutoDispatchMixesArmsWithinOneForward) {
+  // Input density 0.1 -> scatter; a positive bias makes layer 0's output
+  // dense -> gather; layer 1 feeds only 3 of 40 columns -> scatter on
+  // tiled panels; layer 2's positive bias makes it dense again -> gather
+  // into the row-major result.
+  Rng rng(47);
+  const std::vector<Csr<float>> layers = {
+      random_layer(30, 40, 0.4, rng), narrow_layer(40, 40, 3, rng),
+      random_layer(40, 36, 0.4, rng), random_layer(36, 20, 0.4, rng)};
+  const std::vector<float> biases = {1.0f, 0.0f, 1.0f, 0.05f};
+  const std::vector<infer::Kernel> want_arms = {
+      infer::Kernel::kScatter, infer::Kernel::kGather,
+      infer::Kernel::kScatter, infer::Kernel::kGather};
+  infer::SparseDnn dnn(layers, biases, 4.0f);
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    std::vector<float> x(static_cast<std::size_t>(batch) * 30, 0.0f);
+    for (auto& v : x) {
+      if (rng.bernoulli(0.1)) v = static_cast<float>(rng.uniform(0.0, 2.0));
+    }
+    check_all_arms(layers, biases, 4.0f, x, batch);
+    infer::InferenceWorkspace ws;
+    (void)dnn.forward(x.data(), batch, ws);
+    ASSERT_EQ(ws.last_dispatch().size(), want_arms.size());
+    for (std::size_t k = 0; k < want_arms.size(); ++k) {
+      EXPECT_EQ(ws.last_dispatch()[k].chosen, want_arms[k])
+          << "batch " << batch << " layer " << k << " density "
+          << ws.last_dispatch()[k].input_density;
+    }
+  }
+}
+
 TEST(SparseDnnFused, WorkspaceReuseIsZeroAllocation) {
   Rng rng(21);
   const auto net = gc::network(1024, 4, &rng);

@@ -252,9 +252,13 @@ TEST_P(BackendConformance, ShutdownDrainsAdmittedThenRejectsAsValue) {
 
 TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
   // Deep model, one worker, tiny queue: saturate, then fail-fast.
-  Stack s = make_stack(GetParam(), {.workers = 1, .queue_capacity = 2});
+  // The borrowed inputs are declared before the Stack so they outlive
+  // it: the Stack drains the requests that borrow them in its
+  // destructor.
   Rng irng(94);
   const auto big = gc::synthetic_input(64, 1024, 0.4, irng);
+  const auto one = gc::synthetic_input(1, 1024, 0.4, irng);
+  Stack s = make_stack(GetParam(), {.workers = 1, .queue_capacity = 2});
   std::vector<std::future<std::vector<float>>> admitted;
   for (int i = 0; i < 6; ++i) {
     auto result =
@@ -263,7 +267,6 @@ TEST_P(BackendConformance, FailFastOnFullQueueRejectsAsValue) {
     if (result.admitted()) admitted.push_back(result.take_future());
   }
   bool rejected = false;
-  const auto one = gc::synthetic_input(1, 1024, 0.4, irng);
   for (int i = 0; i < 200 && !rejected; ++i) {
     auto result =
         s.get().submit(InferenceRequest::borrowed(s.model, one, 1),

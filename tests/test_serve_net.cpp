@@ -346,6 +346,34 @@ TEST(ServeNet, AdminVerbsAgainstRouter) {
   EXPECT_EQ(health[1], serve::ShardHealth::kUp);
 }
 
+// `models` lists every id, tombstones included: after removing id 0
+// of two, the listing is row 0 (retired) and row 1 (live), not row 0
+// alone.
+void expect_retired_then_live(const std::vector<WireModelInfo>& models) {
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_EQ(models[0].id, 0u);
+  EXPECT_TRUE(models[0].retired);
+  EXPECT_EQ(models[1].id, 1u);
+  EXPECT_FALSE(models[1].retired);
+  EXPECT_EQ(models[1].name, "beta");
+  EXPECT_EQ(models[1].input_width, 1024u);
+}
+
+TEST(ServeNet, ListModelsKeepsLiveIdsAfterRemoveRouter) {
+  Served s = router_served(2);
+  s.router->add_model(s.dnn, "beta");
+  s.router->remove_model(0);
+  RemoteBackend remote(s.server->port());
+  expect_retired_then_live(remote.list_models());
+}
+
+TEST(ServeNet, ListModelsKeepsLiveIdsAfterRemoveEngine) {
+  Served s = engine_served();
+  s.engine->remove_model(0);
+  RemoteBackend remote(s.server->port());
+  expect_retired_then_live(remote.list_models());
+}
+
 TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
   // A deep model and one worker: queue several slow requests from a raw
   // socket, then vanish.  The server must notice the EOF, complete the

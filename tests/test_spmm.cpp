@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -201,6 +202,118 @@ TEST(Spmm, FusedUniformArmsAgreeBitExact) {
                                                  b.data(), -0.1f, 0.5f);
   EXPECT_EQ(nza, nzb);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+// Tiled panel layout (spmm.hpp), written out independently of the
+// kernels: the tile of L = min(kBatchTile, batch - t0) rows at t0 holds
+// (t0 + j, c) at t0 * width + c * L + j.
+std::size_t tiled_index(index_t b, index_t c, index_t batch, index_t width) {
+  const index_t t0 = b - b % kBatchTile;
+  const index_t rows = std::min(kBatchTile, batch - t0);
+  return static_cast<std::size_t>(t0) * width +
+         static_cast<std::size_t>(c) * rows + (b - t0);
+}
+
+std::vector<float> to_layout(const std::vector<float>& row_major,
+                             index_t batch, index_t width, PanelLayout l) {
+  if (l == PanelLayout::kRowMajor) return row_major;
+  std::vector<float> out(row_major.size());
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < width; ++c) {
+      out[tiled_index(b, c, batch, width)] =
+          row_major[static_cast<std::size_t>(b) * width + c];
+    }
+  }
+  return out;
+}
+
+std::vector<float> from_layout(const std::vector<float>& panel,
+                               index_t batch, index_t width, PanelLayout l) {
+  if (l == PanelLayout::kRowMajor) return panel;
+  std::vector<float> out(panel.size());
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < width; ++c) {
+      out[static_cast<std::size_t>(b) * width + c] =
+          panel[tiled_index(b, c, batch, width)];
+    }
+  }
+  return out;
+}
+
+TEST(Spmm, TiledIndexIsAPermutation) {
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    const index_t width = 5;
+    std::vector<int> hits(static_cast<std::size_t>(batch) * width, 0);
+    for (index_t b = 0; b < batch; ++b) {
+      for (index_t c = 0; c < width; ++c) {
+        ++hits.at(tiled_index(b, c, batch, width));
+      }
+    }
+    for (int h : hits) EXPECT_EQ(h, 1) << "batch " << batch;
+  }
+}
+
+TEST(Spmm, EveryLayoutPairMatchesRowMajorBitExact) {
+  // Both arms, general and uniform, in every (input, output) layout
+  // pair: after (de)interleaving, the same bits and nonzero count as the
+  // row-major call.  Batches cover full tiles, every partial-tile size
+  // and their mix.
+  Rng rng(18);
+  const index_t m = 37, n = 29;
+  const auto w = random_csr(m, n, 0.3, rng);
+  const auto wt = w.transpose();
+  Coo<float> ucoo(m, n);
+  for (index_t r = 0; r < m; ++r) {
+    for (index_t c = 0; c < n; ++c) {
+      if (rng.bernoulli(0.3)) ucoo.push(r, c, 0.0625f);
+    }
+  }
+  const auto u = Csr<float>::from_coo(ucoo);
+  const auto ut = u.transpose();
+  const float bias = -0.02f, clamp = 0.7f;
+  const char* const names[] = {"scatter", "gather", "scatter-uniform",
+                               "gather-uniform"};
+  using enum PanelLayout;
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
+    for (std::size_t i = 0; i < x.size(); i += 4) x[i] = 0.0f;  // skips
+    for (auto& v : x) v = v < -0.5f ? 0.0f : v;
+    const std::size_t out_size = static_cast<std::size_t>(batch) * n;
+    for (int arm = 0; arm < 4; ++arm) {
+      const auto run = [&](const float* in, float* out, PanelLayouts l) {
+        switch (arm) {
+          case 0:
+            return spmm_dense_csr_fused(in, batch, m, w, out, bias, clamp, l);
+          case 1:
+            return spmm_dense_csrT_fused(in, batch, m, wt, out, bias, clamp,
+                                         l);
+          case 2:
+            return spmm_dense_csr_fused_uniform(in, batch, m, u, 0.0625f,
+                                                out, bias, clamp, l);
+          default:
+            return spmm_dense_csrT_fused_uniform(in, batch, m, ut, 0.0625f,
+                                                 out, bias, clamp, l);
+        }
+      };
+      std::vector<float> want(out_size);
+      const auto want_nz = run(x.data(), want.data(), {});
+      for (PanelLayout in : {kRowMajor, kTiled}) {
+        for (PanelLayout out : {kRowMajor, kTiled}) {
+          const auto xin = to_layout(x, batch, m, in);
+          std::vector<float> got(out_size, -3.0f);
+          const auto nz = run(xin.data(), got.data(), {in, out});
+          const auto back = from_layout(got, batch, n, out);
+          EXPECT_EQ(nz, want_nz) << names[arm] << " batch " << batch;
+          for (std::size_t i = 0; i < out_size; ++i) {
+            ASSERT_EQ(back[i], want[i])
+                << names[arm] << " batch " << batch << " in "
+                << (in == kTiled) << " out " << (out == kTiled) << " at "
+                << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Spmm, CountNonzeros) {

@@ -432,8 +432,8 @@ BENCHMARK(BM_ServeOverloadDiurnal)
 //
 // The sweeps above absorb overload with priority-aware pressure
 // shedding; this arm replaces shedding with ADMISSION CONTROL: a tiny
-// queue, no shed capacity, and every submit under Admission::
-// kBoundedWait -- wait up to a class budget for queue space, then be
+// queue, no shed capacity, and every submit under a finite admission
+// budget -- wait up to a class budget for queue space, then be
 // rejected at the door.  Rejected requests never invoke DoneFn, so this
 // arm keeps its own rejection ledger and drains on completed ==
 // admitted (the shared run_window would wait forever on completions
@@ -468,8 +468,7 @@ void run_window_bounded(serve::Backend& backend, serve::ModelId interactive,
                                 std::chrono::microseconds deadline) {
     return [&backend, &led, id, &x, wait, deadline](std::uint64_t, double) {
       serve::SubmitOptions so;
-      so.admission = serve::Admission::kBoundedWait;
-      so.timeout = wait;
+      so.admission = wait;
       so.deadline = deadline;
       so.done = led.done(std::chrono::steady_clock::now());
       led.offered.fetch_add(1);

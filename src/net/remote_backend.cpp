@@ -218,8 +218,7 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
   WireWriter w(body);
   w.u64(req.model);
   w.u32(static_cast<std::uint32_t>(req.rows));
-  w.u8(static_cast<std::uint8_t>(opts.admission));
-  w.i64(opts.timeout.count());
+  w.i64(opts.admission.count());
   w.i64(opts.deadline.count());
   w.u64(opts.trace_id);
   w.floats(req.input);  // copies the rows into the frame

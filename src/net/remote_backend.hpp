@@ -12,8 +12,8 @@
 //   * submit() is a synchronous admission round-trip -- encode, send,
 //     wait for the kSubmitAck -- so its SubmitResult carries the
 //     server-assigned RequestId and the genuine admission verdict
-//     (backpressure included: the server clamps blocking admissions to
-//     its bounded-wait path and answers "rejected" under overload).
+//     (backpressure included: the server clamps every admission budget
+//     to a bounded wait and answers "rejected" under overload).
 //   * The kResult completes the caller's future or DoneFn from the
 //     reader thread.  A kResult may arrive BEFORE its kSubmitAck
 //     (shed-inside-submit, see net/wire.hpp); the reader delivers it

@@ -4,7 +4,9 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 
@@ -17,6 +19,14 @@
 namespace radix::net {
 
 namespace {
+
+// The longest a submit-pool thread waits for queue space on a client's
+// behalf; every kSubmit's admission budget is clamped to it.
+constexpr std::chrono::microseconds kMaxAdmissionWait{250'000};
+// A kSubmit deadline beyond a year either way is clamped to a year: no
+// request lives that long, and it keeps the backend's clock arithmetic
+// (now + deadline, deadline - elapsed) in range.
+constexpr std::chrono::microseconds kMaxDeadline = std::chrono::hours(24 * 365);
 
 [[noreturn]] void throw_errno(const char* what) {
   throw IoError(std::string(what) + ": " + std::strerror(errno));
@@ -611,31 +621,21 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
   WireReader r(frame.body);
   const auto model = static_cast<serve::ModelId>(r.u64());
   const auto rows = static_cast<index_t>(r.u32());
-  const std::uint8_t admission = r.u8();
-  const std::int64_t timeout_us = r.i64();
-  const std::int64_t deadline_us = r.i64();
+  const std::chrono::microseconds wait(r.i64());
+  const std::chrono::microseconds deadline(r.i64());
   const serve::RequestId trace_id = r.u64();
   std::vector<float> input = r.floats();
   r.expect_end();
-  if (admission > static_cast<std::uint8_t>(serve::Admission::kBoundedWait)) {
-    throw IoError("wire: bad admission mode");
-  }
 
   serve::SubmitOptions opts;
-  opts.admission = static_cast<serve::Admission>(admission);
-  opts.timeout = std::chrono::microseconds(timeout_us);
-  opts.deadline = std::chrono::microseconds(deadline_us);
-  opts.trace_id = trace_id;
   // No thread of the submit pool may park indefinitely on a full queue:
-  // clamp blocking admissions onto the bounded-wait path (the backend's
-  // try_submit_for seam), so overload surfaces as a rejection the
-  // client can retry -- backpressure, not a wedged server.
-  if (opts.admission == serve::Admission::kBlock) {
-    opts.admission = serve::Admission::kBoundedWait;
-    opts.timeout = options_.max_admission_wait;
-  } else if (opts.admission == serve::Admission::kBoundedWait) {
-    opts.timeout = std::min(opts.timeout, options_.max_admission_wait);
-  }
+  // every wait, kBlock included, is clamped to kMaxAdmissionWait, so
+  // overload surfaces as a rejection the client can retry --
+  // backpressure, not a wedged server.  A negative wait fails fast.
+  opts.admission =
+      std::clamp(wait, serve::Admission::kFailFast, kMaxAdmissionWait);
+  opts.deadline = std::clamp(deadline, -kMaxDeadline, kMaxDeadline);
+  opts.trace_id = trace_id;
 
   const std::uint64_t correlation = frame.correlation;
   std::shared_ptr<WakeState> wake_state = wake_state_;

@@ -9,15 +9,13 @@
 //     nonblocking writes drain a per-connection output queue, arming
 //     EPOLLOUT only while bytes are actually pending.  Partial reads,
 //     partial writes and EINTR are the normal case here, not errors.
-//   * A small SUBMIT POOL executes the decoded verbs.  Inference
-//     submissions go through the backend's bounded-wait admission path:
-//     a client asking Admission::kBlock gets the block CLAMPED to
-//     ServerOptions::max_admission_wait (kBoundedWait under the hood,
-//     i.e. Engine's try_submit_for seam) so a saturated backend
-//     backpressures the client with a rejection instead of parking a
-//     pool thread forever.  Admin verbs (stats, metrics, shard
-//     lifecycle) run on the same pool -- a drain that takes seconds
-//     never stalls socket I/O.
+//   * A small SUBMIT POOL executes the decoded verbs.  An inference
+//     submission's admission budget is CLAMPED to 250 ms (a client
+//     asking Admission::kBlock gets 250 ms; a negative budget fails
+//     fast), so a saturated backend backpressures the client with a
+//     rejection instead of parking a pool thread forever.  Admin verbs
+//     (stats, metrics, shard lifecycle) run on the same pool -- a drain
+//     that takes seconds never stalls socket I/O.
 //   * COMPLETIONS arrive on backend worker threads: the DoneFn encodes
 //     the kResult frame, appends it to the connection's output queue
 //     under the connection mutex, and wakes the event loop through an
@@ -35,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -102,10 +99,6 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// Threads executing decoded verbs (admission waits happen here).
   std::size_t submit_workers = 2;
-  /// Clamp applied to Admission::kBlock submissions, converting them to
-  /// kBoundedWait so a saturated backend rejects instead of wedging a
-  /// pool thread.  kBoundedWait requests keep min(their timeout, this).
-  std::chrono::microseconds max_admission_wait{250'000};
   AdminHooks hooks{};
 };
 

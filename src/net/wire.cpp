@@ -85,9 +85,11 @@ std::string WireReader::str() {
 
 std::vector<float> WireReader::floats() {
   const std::uint32_t n = u32();
-  std::vector<float> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(f32());
+  // Bounds-check the whole payload before allocating: a corrupt count
+  // must not reserve gigabytes.
+  WireReader payload(need(std::size_t{n} * sizeof(float)));
+  std::vector<float> out(n);
+  for (float& x : out) x = payload.f32();
   return out;
 }
 

@@ -21,13 +21,15 @@
 // every malformed frame is a protocol error that closes the connection
 // -- never undefined behavior.
 //
-// Stability contract: MsgType values, enum encodings (Admission,
-// Priority, ShardHealth, the error kinds below) and field order are
-// wire-visible and FROZEN -- append new message types and trailing
-// fields, never renumber or reorder.  The serve-layer enums already
-// carry explicit stable values (serve/request.hpp, serve/qos.hpp,
-// serve/router.hpp); this header encodes them as their underlying
-// integers.
+// Stability contract: MsgType values, enum encodings (Priority,
+// ShardHealth, the error kinds below) and field order are wire-visible
+// and FROZEN -- append new message types and trailing fields, never
+// renumber or reorder.  The serve-layer enums already carry explicit
+// stable values (serve/qos.hpp, serve/router.hpp); this header encodes
+// them as their underlying integers.  Admission is not an enum: a
+// kSubmit carries its admission budget (SubmitOptions::admission) as
+// one i64 of microseconds, INT64_MAX meaning Admission::kBlock, and
+// the server clamps it to [0, 250 ms].
 //
 // ServeStats crosses the wire with its raw Log2Histogram bucket grids
 // (Log2Histogram::raw_counts / from_raw), so a snapshot fetched from a

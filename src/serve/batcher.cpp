@@ -175,35 +175,21 @@ bool MicroBatcher::push_locked(std::size_t model, Request&& r,
   return true;
 }
 
-bool MicroBatcher::submit(std::size_t model, Request&& r, ShedList* shed) {
+bool MicroBatcher::submit(std::size_t model, Request&& r,
+                          std::chrono::microseconds wait, ShedList* shed) {
   std::unique_lock lock(monitor_.mutex);
   RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
   r.submitted = clock_->now();
   ModelSlot& slot = *slots_[model];
   Queue& q = *slot.queue;
-  monitor_.cv.wait(
-      lock, [&] { return closed_ || slot.retired || !q.full_locked(); });
-  if (closed_ || slot.retired) return false;
-  return push_locked(model, std::move(r), shed);
-}
-
-bool MicroBatcher::try_submit(std::size_t model, Request&& r,
-                              ShedList* shed) {
-  return submit_for(model, std::move(r), std::chrono::microseconds::zero(),
-                    shed);
-}
-
-bool MicroBatcher::submit_for(std::size_t model, Request&& r,
-                              std::chrono::microseconds timeout,
-                              ShedList* shed) {
-  std::unique_lock lock(monitor_.mutex);
-  RADIX_REQUIRE(model < slots_.size(), "MicroBatcher: unknown model id");
-  r.submitted = clock_->now();
-  ModelSlot& slot = *slots_[model];
-  Queue& q = *slot.queue;
-  if (timeout.count() > 0) {
-    const auto deadline = clock_->now() + timeout;
-    while (!closed_ && !slot.retired && q.full_locked()) {
+  const auto refused = [&] { return closed_ || slot.retired; };
+  if (wait == Admission::kBlock) {
+    // No deadline, so no clock: the wait never parks on a FakeClock and
+    // never computes a time point near max().
+    monitor_.cv.wait(lock, [&] { return refused() || !q.full_locked(); });
+  } else if (wait.count() > 0) {
+    const auto deadline = r.submitted + wait;
+    while (!refused() && q.full_locked()) {
       if (clock_->wait_until(monitor_, lock, deadline) ==
               std::cv_status::timeout &&
           q.full_locked()) {
@@ -211,7 +197,7 @@ bool MicroBatcher::submit_for(std::size_t model, Request&& r,
       }
     }
   }
-  if (closed_ || slot.retired || q.full_locked()) return false;
+  if (refused() || q.full_locked()) return false;
   return push_locked(model, std::move(r), shed);
 }
 

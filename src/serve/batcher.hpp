@@ -122,7 +122,8 @@ struct Request {
 };
 
 struct BatcherOptions {
-  /// Pending-request bound per model; a full queue blocks submit().
+  /// Pending-request bound per model; a full queue makes submit() wait
+  /// out its admission budget.
   std::size_t queue_capacity = 1024;
   /// Default row budget of one coalesced batch (per-model overridable).
   index_t max_batch_rows = 64;
@@ -187,9 +188,9 @@ class MicroBatcher {
   /// resolve >= 1.  Safe while consumers run.
   std::size_t add_model(QosPolicy policy = {});
 
-  /// Stop admitting requests for one model (submit/try_submit/submit_for
-  /// return false, blocked submitters wake and fail) while everything
-  /// already queued stays claimable -- the per-model half of close().
+  /// Stop admitting requests for one model (submit returns false,
+  /// blocked submitters wake and fail) while everything already queued
+  /// stays claimable -- the per-model half of close().
   /// Idempotent; safe while consumers run.  Model ids are never reused,
   /// so a retired slot stays retired.
   void retire_model(std::size_t model);
@@ -229,24 +230,19 @@ class MicroBatcher {
   /// The fully resolved policy a model was registered with.
   QosPolicy policy(std::size_t model) const;
 
-  /// Blocking submit with backpressure; false when closed (the request's
+  /// Submit with backpressure: waits up to `wait` for space in the
+  /// model's full queue.  wait <= 0 tries once; Admission::kBlock waits
+  /// for as long as it takes, on the monitor itself; a finite wait is
+  /// timed by the injected clock.  False when the queue is still full
+  /// after the wait, or the batcher or model is closed (the request's
   /// callback is NOT invoked -- the caller owns rejection handling).
   /// When shed_capacity > 0, `shed` (required then) receives any
   /// requests the pressure policy dropped to admit this one -- possibly
   /// including the incoming request itself, in which case the call still
   /// returns true (admitted, then immediately shed): the caller
   /// completes everything in the list with DeadlineExceededError.
-  bool submit(std::size_t model, Request&& r, ShedList* shed = nullptr);
-
-  /// Non-blocking submit: false when the model queue is full or closed.
-  bool try_submit(std::size_t model, Request&& r, ShedList* shed = nullptr);
-
-  /// Bounded-wait submit: waits up to `timeout` (by the injected clock)
-  /// for queue space; false when still full at the deadline or closed.
-  /// timeout <= 0 behaves like try_submit().
-  bool submit_for(std::size_t model, Request&& r,
-                  std::chrono::microseconds timeout,
-                  ShedList* shed = nullptr);
+  bool submit(std::size_t model, Request&& r, std::chrono::microseconds wait,
+              ShedList* shed = nullptr);
 
   /// Claim the next coalesced batch (see file comment for the policy).
   /// Blocks until work arrives; returns false only when closed *and*

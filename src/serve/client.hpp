@@ -7,6 +7,7 @@
 //   serve::Client chat(backend, backend.find_model("chat").value());
 //   auto fut = chat.submit(rows_span, n).take_future();
 //   chat.submit(std::move(buffer), n, {.admission = Admission::kFailFast});
+//   chat.submit(rows_span, n, {.admission = std::chrono::milliseconds(5)});
 //   chat.stats().e2e_p99;
 //
 // The two submit wrappers mirror the InferenceRequest factories -- a

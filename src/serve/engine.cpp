@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -107,13 +108,11 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   st->input_width = st->dnn->input_width();
   st->output_width = st->dnn->output_width();
   st->stats = std::make_shared<StatsCollector>();
-  if (options_.prewarm) {
-    // Builds the shared transposed-layer cache once, up front, so the
-    // first served batch does not pay one-time construction latency.
-    // Worker workspaces stay lazy: their panels grow once per worker on
-    // first contact (growth-only, cheap next to a transpose build).
-    st->dnn->prewarm();
-  }
+  // Builds the shared transposed-layer cache once, up front, so the
+  // first served batch does not pay one-time construction latency.
+  // Worker workspaces stay lazy: their panels grow once per worker on
+  // first contact (growth-only, cheap next to a transpose build).
+  st->dnn->prewarm();
   // Registry publish and batcher queue creation must be one atomic
   // step: concurrent add_model calls interleaving between them would
   // hand out mismatched ids and route one model's traffic to another's
@@ -170,12 +169,10 @@ void Engine::remove_model(ModelId id) {
 void Engine::swap_model(ModelId id,
                         std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "Engine: model must not be null");
-  if (options_.prewarm) {
-    // Prewarm BEFORE taking any lock or publishing: the first batch on
-    // the new version must not pay transpose construction, and the
-    // submit hot path must never wait on it.
-    dnn->prewarm();
-  }
+  // Prewarm BEFORE taking any lock or publishing: the first batch on
+  // the new version must not pay transpose construction, and the submit
+  // hot path must never wait on it.
+  dnn->prewarm();
   std::scoped_lock lock(models_mutex_);
   const auto reg = models_.load(std::memory_order_acquire);
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
@@ -347,32 +344,23 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
   // Pressure-shed victims are handed back here and completed OUTSIDE
   // the batcher monitor -- the batcher never runs completions.
   MicroBatcher::ShedList shed;
-  bool admitted = false;
-  switch (opts.admission) {
-    case Admission::kBlock:
-      admitted = batcher_.submit(req.model, std::move(r), &shed);
-      break;
-    case Admission::kFailFast:
-      admitted = batcher_.try_submit(req.model, std::move(r), &shed);
-      break;
-    case Admission::kBoundedWait: {
-      // The admission wait composes with the e2e deadline: waiting past
-      // the deadline could only admit a request that is already dead,
-      // so the wait budget is capped at the remaining deadline.  A
-      // pre-expired deadline (negative -- a relay with a spent budget)
-      // degrades to try_submit: still admitted when there is space
-      // (then shed at claim, preserving exactly-one-completion), but
-      // never waited for.
-      auto wait = opts.timeout;
-      if (opts.deadline.count() < 0) {
-        wait = std::chrono::microseconds{0};
-      } else if (opts.deadline.count() > 0 && opts.deadline < wait) {
-        wait = opts.deadline;
-      }
-      admitted = batcher_.submit_for(req.model, std::move(r), wait, &shed);
-      break;
+  // The admission wait composes with the e2e deadline: waiting past the
+  // deadline could only admit a request that is already dead, so a
+  // finite budget is capped at the remaining deadline.  A pre-expired
+  // deadline (negative -- a relay with a spent budget) waits 0: still
+  // admitted when there is space (then shed at claim, preserving
+  // exactly-one-completion), but never waited for.  kBlock is never
+  // capped: the failover path relies on a blocking resubmission being
+  // admitted whatever its deadline.
+  auto wait = opts.admission;
+  if (wait != Admission::kBlock) {
+    if (opts.deadline.count() < 0) {
+      wait = Admission::kFailFast;
+    } else if (opts.deadline.count() > 0) {
+      wait = std::min(wait, opts.deadline);
     }
   }
+  const bool admitted = batcher_.submit(req.model, std::move(r), wait, &shed);
   if (tracer && admitted) {
     tracer->record(rid, TraceEventKind::kAdmitted, options_.shard_index,
                    static_cast<std::uint32_t>(req.model), st->priority,

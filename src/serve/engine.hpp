@@ -36,10 +36,13 @@
 //     fairness within a class, starvation bound for background work --
 //     see serve/batcher.hpp).  Model names are unique per engine and
 //     resolvable through find_model().
-//   * Admission is SubmitOptions::admission: kBlock parks the caller on
-//     a full queue (backpressure), kFailFast rejects immediately and
-//     kBoundedWait gives up after `timeout` -- so a latency-sensitive
-//     caller is never parked indefinitely behind a backlogged model.
+//   * Admission is one budget, SubmitOptions::admission: how long the
+//     caller may wait on a full queue.  Admission::kBlock waits for as
+//     long as it takes (backpressure), Admission::kFailFast (0) rejects
+//     immediately, and anything in between gives up after that long --
+//     so a latency-sensitive caller is never parked indefinitely behind
+//     a backlogged model.  A finite budget is capped at the request's
+//     remaining deadline.
 //     Rejection (including after shutdown) is reported through
 //     SubmitResult::admitted(), never thrown; exceptions are reserved
 //     for caller bugs (unknown model, input size mismatch).
@@ -112,8 +115,6 @@ struct EngineOptions {
   /// Pending-request bound per model; what a full queue does to submit
   /// is SubmitOptions::admission.
   std::size_t queue_capacity = 1024;
-  /// Prewarm models on add_model (build transposes, size workspaces).
-  bool prewarm = true;
   /// Per-class overrides of max_delay / max_batch_rows, indexed by
   /// Priority; unset fields inherit the engine-wide defaults above.
   /// A per-model QosPolicy field overrides both.

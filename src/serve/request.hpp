@@ -12,9 +12,10 @@
 //     alive until completion) or owned (a vector the request carries).
 //     The borrowed/owned factories make the lifetime contract part of
 //     the type instead of a comment.
-//   * SubmitOptions    -- HOW to run it: the admission mode (block on a
-//     full queue / fail fast / wait a bounded time) and the completion
-//     style (a future, or a zero-copy callback when `done` is set).
+//   * SubmitOptions    -- HOW to run it: the admission budget (how long
+//     a submit may wait for queue space: 0 fails fast, Admission::kBlock
+//     waits for as long as it takes) and the completion style (a
+//     future, or a zero-copy callback when `done` is set).
 //   * SubmitResult     -- what came back: whether the request was
 //     admitted, and for future-completion submissions the future that
 //     will carry the output rows.
@@ -153,28 +154,33 @@ struct InferenceRequest {
   }
 };
 
-/// What to do when the model's queue is full at submit time.
-enum class Admission : std::uint8_t {
-  kBlock = 0,       ///< wait for space (backpressure); rejected only when
-                    ///< the backend is shut down
-  kFailFast = 1,    ///< never wait: rejected immediately when full
-  kBoundedWait = 2, ///< wait up to SubmitOptions::timeout, then rejected
+/// Named admission budgets for SubmitOptions::admission (how long a
+/// submit may wait for queue space); any duration between the two is a
+/// bounded wait.
+struct Admission {
+  /// Never wait: rejected immediately when the queue is full.  Any
+  /// budget <= 0 means the same.
+  static constexpr std::chrono::microseconds kFailFast{0};
+  /// Wait for space however long it takes (backpressure); rejected only
+  /// when the backend is shut down.
+  static constexpr std::chrono::microseconds kBlock =
+      std::chrono::microseconds::max();
 };
 
 /// How one submit call is admitted and completed.  Defaults reproduce
 /// the common case: block for queue space, deliver through a future.
 struct SubmitOptions {
-  Admission admission = Admission::kBlock;
-  /// Admission::kBoundedWait budget; ignored by the other modes.
-  /// timeout <= 0 behaves like kFailFast.
-  std::chrono::microseconds timeout{0};
+  /// Admission budget: how long this submit may wait for space in a
+  /// full queue before it is rejected (see Admission).
+  std::chrono::microseconds admission = Admission::kBlock;
   /// End-to-end deadline budget, measured from submit entry -- distinct
-  /// from `timeout`, which only bounds the admission wait.  0 means no
-  /// deadline.  An admitted request whose deadline passes before a
-  /// worker claims it is shed: it never runs forward and completes with
-  /// DeadlineExceededError (still exactly one completion).  A negative
-  /// value means "already expired" -- used by relays carrying a spent
-  /// remaining budget; such a request is admitted and shed at claim.
+  /// from `admission`, which only bounds the wait for queue space.  0
+  /// means no deadline.  An admitted request whose deadline passes
+  /// before a worker claims it is shed: it never runs forward and
+  /// completes with DeadlineExceededError (still exactly one
+  /// completion).  A negative value means "already expired" -- used by
+  /// relays carrying a spent remaining budget; such a request is
+  /// admitted and shed at claim.
   std::chrono::microseconds deadline{0};
   /// When set, completion is the callback (zero-copy output span, worker
   /// thread) and SubmitResult carries no future; when empty, completion
@@ -188,8 +194,8 @@ struct SubmitOptions {
 };
 
 /// Outcome of Backend::submit.  `admitted()` is the admission verdict:
-/// false means the request was NOT accepted (full queue under
-/// kFailFast/kBoundedWait, or the backend is shut down) and will never
+/// false means the request was NOT accepted (queue still full when the
+/// admission budget ran out, or the backend is shut down) and will never
 /// complete -- the callback is not invoked, borrowed input is untouched.
 /// For admitted future-completion submissions take_future() yields the
 /// output rows ([rows x output_width]) or rethrows the serving error.

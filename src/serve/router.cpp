@@ -85,12 +85,12 @@ struct ShardRouter::Relay {
   std::vector<float> owned;      // backs `input` for owned submissions
   std::span<const float> input;  // what every shard sees (borrowed)
   DoneFn done;                   // the caller's completion, run exactly once
-  // The caller's ORIGINAL budgets, anchored at `t0` (router submit
+  // The caller's ORIGINAL deadline, anchored at `t0` (router submit
   // entry).  Each dispatch -- first try and every failover resubmission
   // alike -- deducts the elapsed time and hands the shard only what
   // remains: a request that already burned 80 of its 100 ms on a shard
-  // that died must not get a fresh 100 ms elsewhere.
-  std::chrono::microseconds timeout{0};
+  // that died must not get a fresh 100 ms elsewhere.  A finite
+  // admission budget is deducted the same way (see dispatch).
   std::chrono::microseconds deadline{0};
   ClockSource::time_point t0{};
   std::uint64_t tried = 0;
@@ -207,12 +207,10 @@ void ShardRouter::remove_model(ModelId id) {
 void ShardRouter::swap_model(ModelId id,
                              std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "ShardRouter: model must not be null");
-  if (options_.engine.prewarm) {
-    // One prewarm before ANY shard cuts over: the transpose caches live
-    // on the shared SparseDnn, so each shard's own prewarm (inside
-    // Engine::swap_model) finds them already built.
-    dnn->prewarm();
-  }
+  // One prewarm before ANY shard cuts over: the transpose caches live on
+  // the shared SparseDnn, so each shard's own prewarm (inside
+  // Engine::swap_model) finds them already built.
+  dnn->prewarm();
   store::StagedArtifact staged = log_.stage(*dnn, "");
   std::scoped_lock lock(admin_mutex_);
   // The log checks the id and the widths, so no shard refuses the version.
@@ -379,20 +377,20 @@ std::size_t ShardRouter::pick_shard(const Fleet& fleet, ModelId model) const {
 
 bool ShardRouter::dispatch(const Fleet& fleet, std::size_t index,
                            const std::shared_ptr<Relay>& relay,
-                           Admission admission) {
+                           std::chrono::microseconds admission) {
   relay->tried |= (std::uint64_t{1} << index);
   SubmitOptions opts;
-  opts.admission = admission;
   opts.trace_id = relay->id;  // every hop records under the router's id
   // Deduct what the request has already spent since router entry: a
   // resubmission (or a re-pick after a racing kill) carries only the
   // REMAINING admission budget and end-to-end deadline, never a fresh
-  // copy of the originals.
+  // copy of the originals.  kBlock stays kBlock: minus the elapsed time
+  // it would become a finite budget the engine caps at the deadline.
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       clock_->now() - relay->t0);
-  if (relay->timeout.count() > 0) {
-    opts.timeout = std::max(relay->timeout - elapsed,
-                            std::chrono::microseconds{0});
+  opts.admission = admission;
+  if (admission.count() > 0 && admission != Admission::kBlock) {
+    opts.admission = std::max(admission - elapsed, Admission::kFailFast);
   }
   if (relay->deadline.count() != 0) {
     auto remaining = relay->deadline - elapsed;
@@ -430,7 +428,7 @@ bool ShardRouter::dispatch(const Fleet& fleet, std::size_t index,
 bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
   // Runs on the thread that observed the abort (kill_shard's caller,
   // inside Engine::abort's orphan sweep).  Retries use kBlock
-  // regardless of the original admission mode: the caller was already
+  // regardless of the original admission budget: the caller was already
   // told "admitted", so rejection is no longer expressible -- the
   // request must complete, and waiting out backpressure on the healthy
   // shard is the only sane way to keep the admission promise.  kBlock
@@ -469,7 +467,6 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
   // Honor a caller-assigned trace id (a front-end relaying its own);
   // otherwise mint the identity every hop will serve under.
   relay->id = opts.trace_id != 0 ? opts.trace_id : next_request_id();
-  relay->timeout = opts.timeout;
   relay->deadline = opts.deadline;
   relay->t0 = clock_->now();
   if (!req.storage.empty()) {
@@ -494,10 +491,10 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
                  ? SubmitResult::admitted_callback(relay->id)
                  : SubmitResult::admitted_future(std::move(future), relay->id);
     }
-    // Rejected.  A full queue under kFailFast/kBoundedWait is the
-    // chosen shard's legitimate answer -- deliver it.  A shard that is
-    // no longer accepting is a kill racing the pick: re-pick among the
-    // in-rotation shards this request has not tried yet.
+    // Rejected.  A queue still full when the admission budget ran out
+    // is the chosen shard's legitimate answer -- deliver it.  A shard
+    // that is no longer accepting is a kill racing the pick: re-pick
+    // among the in-rotation shards this request has not tried yet.
     if (f->engines[index]->accepting()) break;
     f = fleet();
     index = untried_shard(f->healthy, relay->tried);

@@ -247,13 +247,14 @@ class ShardRouter final : public Backend {
 
   /// Route to an in-rotation shard by power-of-two-choices on pending
   /// depth, then submit there under `opts` unchanged.  Admission is
-  /// decided by the chosen shard: kBlock waits out backpressure on that
-  /// shard even if another happens to have space (the depth-aware pick
-  /// makes that rare).  If the chosen shard turns out to be shutting
-  /// down (a kill racing the pick), the router transparently re-picks
-  /// among the remaining shards; rejection reaches the caller only on a
-  /// genuinely full queue (kFailFast/kBoundedWait) or when no shard is
-  /// in rotation.
+  /// decided by the chosen shard: the admission budget is spent waiting
+  /// out backpressure on that shard even if another happens to have
+  /// space (the depth-aware pick makes that rare).  If the chosen shard
+  /// turns out to be shutting down (a kill racing the pick), the router
+  /// transparently re-picks among the remaining shards, with what is
+  /// left of the budget; rejection reaches the caller only on a queue
+  /// still full when the budget runs out, or when no shard is in
+  /// rotation.
   SubmitResult submit(InferenceRequest req, SubmitOptions opts = {}) override;
 
   /// Aggregate view across shards (histograms merged bucket-wise),
@@ -298,9 +299,11 @@ class ShardRouter final : public Backend {
   void replay(Engine& engine) const;
   /// Two-choice pick among fleet.healthy; SIZE_MAX when none.
   std::size_t pick_shard(const Fleet& fleet, ModelId model) const;
-  /// Submit the capsule on shard `index` of `fleet`; false = rejected.
+  /// Submit the capsule on shard `index` of `fleet` with what is left of
+  /// the `admission` budget (see SubmitOptions); false = rejected.
   bool dispatch(const Fleet& fleet, std::size_t index,
-                const std::shared_ptr<Relay>& relay, Admission admission);
+                const std::shared_ptr<Relay>& relay,
+                std::chrono::microseconds admission);
   /// Resubmit an aborted capsule on an untried in-rotation shard.
   bool failover(const std::shared_ptr<Relay>& relay);
 

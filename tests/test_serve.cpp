@@ -499,8 +499,7 @@ TEST(ServeEngineQos, FailFastAdmissionOnFullQueueThenRecovers) {
                    .admitted());
   EXPECT_FALSE(engine
                    .submit(InferenceRequest::borrowed(id, x, 1),
-                           {.admission = Admission::kBoundedWait,
-                            .timeout = 1000us})
+                           {.admission = 1000us})
                    .admitted())
       << "bounded wait must give up on a still-full queue";
 

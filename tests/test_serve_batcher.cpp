@@ -89,7 +89,9 @@ TEST(MicroBatcher, CoalescesUpToRowBudget) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 8,
                   .max_delay = 0us});
   const std::size_t m = b.add_model();
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(b.try_submit(m, make_request(2)));
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(b.submit(m, make_request(2), Admission::kFailFast));
+  }
 
   MicroBatcher::Batch batch;
   // 5 x 2 rows against a budget of 8: first claim takes 4 requests.
@@ -108,9 +110,11 @@ TEST(MicroBatcher, FifoNeverReordersPastANonFittingRequest) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 8,
                   .max_delay = 0us});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(3)));
-  ASSERT_TRUE(b.try_submit(m, make_request(6)));  // does not fit after 3
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));  // would fit, must NOT jump
+  ASSERT_TRUE(b.submit(m, make_request(3), Admission::kFailFast));
+  // does not fit after 3
+  ASSERT_TRUE(b.submit(m, make_request(6), Admission::kFailFast));
+  // would fit, must NOT jump
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   ASSERT_TRUE(b.next(batch));
@@ -124,8 +128,8 @@ TEST(MicroBatcher, OversizeRequestShipsAlone) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 8,
                   .max_delay = 0us});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(100)));
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(100), Admission::kFailFast));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   ASSERT_TRUE(b.next(batch));
@@ -139,9 +143,9 @@ TEST(MicroBatcher, EnqueueTimeIsStampedByTheInjectedClock) {
                   .max_delay = 0us, .clock = &clock});
   const std::size_t m = b.add_model();
   const auto t0 = clock.now();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
   clock.advance(5ms);
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   ASSERT_TRUE(b.next(batch));
@@ -155,7 +159,7 @@ TEST(MicroBatcher, CoalescingWindowHonorsMaxDelayExactly) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 4,
                   .max_delay = 100000us, .clock = &clock});  // 100ms
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   std::atomic<bool> shipped{false};
   MicroBatcher::Batch batch;
@@ -172,7 +176,7 @@ TEST(MicroBatcher, CoalescingWindowHonorsMaxDelayExactly) {
   EXPECT_FALSE(shipped.load()) << "batch shipped before its deadline";
 
   // A request arriving inside the window joins the open batch.
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
   // Crossing the deadline ships it: enqueue + 100ms, measured on the
   // fake clock, bounds the added latency exactly.
   clock.advance(2ms);
@@ -187,7 +191,7 @@ TEST(MicroBatcher, RequestOlderThanMaxDelayShipsWithoutWaiting) {
   MicroBatcher b({.queue_capacity = 8, .max_batch_rows = 64,
                   .max_delay = 1000us, .clock = &clock});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(2)));
+  ASSERT_TRUE(b.submit(m, make_request(2), Admission::kFailFast));
   clock.advance(2ms);  // the queued request is now past its deadline
   // next() runs on this thread: if the batcher tried to wait out a
   // fresh window nobody would advance the clock and the test would
@@ -202,13 +206,15 @@ TEST(MicroBatcher, LateArrivalsJoinTheOpenBatchUntilFull) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 4,
                   .max_delay = 1000000us, .clock = &clock});  // 1s window
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   std::thread consumer([&] { EXPECT_TRUE(b.next(batch)); });
   // Three more requests fill the 4-row budget; the consumer must ship
   // without any clock advance (the window never expires in this test).
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
+  }
   consumer.join();
   EXPECT_EQ(batch.rows, 4u);
   EXPECT_EQ(batch.requests.size(), 4u);
@@ -218,10 +224,13 @@ TEST(MicroBatcher, CloseDrainsQueuedRequestsThenStops) {
   MicroBatcher b({.queue_capacity = 64, .max_batch_rows = 64,
                   .max_delay = 0us});
   const std::size_t m = b.add_model();
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
+  }
   b.close();
-  EXPECT_FALSE(b.submit(m, make_request(1))) << "submit after close";
-  EXPECT_FALSE(b.try_submit(m, make_request(1)));
+  EXPECT_FALSE(b.submit(m, make_request(1), Admission::kBlock))
+      << "submit after close";
+  EXPECT_FALSE(b.submit(m, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   index_t drained = 0;
@@ -246,12 +255,14 @@ TEST(MicroBatcher, SubmitBackpressureBlocksUntilSpace) {
   MicroBatcher b({.queue_capacity = 2, .max_batch_rows = 1,
                   .max_delay = 0us});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.submit(m, make_request(1)));
-  ASSERT_TRUE(b.submit(m, make_request(1)));
-  EXPECT_FALSE(b.try_submit(m, make_request(1))) << "queue full";
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kBlock));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kBlock));
+  EXPECT_FALSE(b.submit(m, make_request(1), Admission::kFailFast))
+      << "queue full";
 
   std::thread producer([&] {
-    EXPECT_TRUE(b.submit(m, make_request(1)));  // blocks until a claim
+    // blocks until a claim
+    EXPECT_TRUE(b.submit(m, make_request(1), Admission::kBlock));
   });
   std::this_thread::sleep_for(5ms);
   MicroBatcher::Batch batch;
@@ -269,10 +280,12 @@ TEST(MicroBatcher, BlockedProducerIsWokenDuringCoalescingWindow) {
   MicroBatcher b({.queue_capacity = 1, .max_batch_rows = 3,
                   .max_delay = 5000000us});  // 5s: a stall would be seen
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kBlock));
 
   std::thread producer([&] {
-    for (int i = 0; i < 2; ++i) EXPECT_TRUE(b.submit(m, make_request(1)));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_TRUE(b.submit(m, make_request(1), Admission::kBlock));
+    }
   });
   MicroBatcher::Batch batch;
   const auto t0 = std::chrono::steady_clock::now();
@@ -291,14 +304,20 @@ TEST(MicroBatcher, SubmitForTimesOutDeterministicallyOnAFullQueue) {
   MicroBatcher b({.queue_capacity = 1, .max_batch_rows = 1,
                   .max_delay = 0us, .clock = &clock});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));  // queue now full
+  // queue now full
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
-  EXPECT_FALSE(b.try_submit(m, make_request(1))) << "non-blocking: full";
-  EXPECT_FALSE(b.submit_for(m, make_request(1), 0us)) << "0 timeout = try";
+  EXPECT_FALSE(b.submit(m, make_request(1), Admission::kFailFast))
+      << "non-blocking: full";
+  EXPECT_FALSE(b.submit(m, make_request(1), 0us)) << "0 wait = try";
+  EXPECT_FALSE(b.submit(m, make_request(1), -1us)) << "negative wait = try";
+  EXPECT_FALSE(b.submit(m, make_request(1), std::chrono::microseconds::min()))
+      << "most negative wait = try";
+  EXPECT_EQ(clock.parked(), 0) << "a wait <= 0 never parks on the clock";
 
   std::atomic<int> outcome{-1};
   std::thread submitter([&] {
-    outcome.store(b.submit_for(m, make_request(1), 10000us) ? 1 : 0);
+    outcome.store(b.submit(m, make_request(1), 10000us) ? 1 : 0);
   });
   // Rendezvous: once the submitter is parked its deadline (computed
   // from now() before parking) is fixed, so the advances below measure
@@ -313,6 +332,24 @@ TEST(MicroBatcher, SubmitForTimesOutDeterministicallyOnAFullQueue) {
   submitter.join();
   EXPECT_EQ(outcome.load(), 0) << "admission must fail at the deadline";
   EXPECT_EQ(b.pending(m), 1u) << "rejected request must not be enqueued";
+
+  // kBlock has no deadline: it waits on the monitor, not on the clock,
+  // so no clock advance gives up for it -- only space (or close) ends
+  // the wait.
+  outcome.store(-1);
+  std::thread blocker([&] {
+    outcome.store(b.submit(m, make_request(1), Admission::kBlock) ? 1 : 0);
+  });
+  std::this_thread::sleep_for(10ms);
+  EXPECT_EQ(clock.parked(), 0) << "kBlock must not park on the clock";
+  clock.advance(24h);
+  std::this_thread::sleep_for(10ms);
+  EXPECT_EQ(outcome.load(), -1) << "kBlock gave up on a clock advance";
+  MicroBatcher::Batch batch;
+  ASSERT_TRUE(b.next(batch));  // frees the slot; the blocker admits
+  blocker.join();
+  EXPECT_EQ(outcome.load(), 1);
+  EXPECT_EQ(b.pending(m), 1u);
 }
 
 TEST(MicroBatcher, SubmitForAdmitsWhenAClaimFreesSpaceInTime) {
@@ -320,11 +357,11 @@ TEST(MicroBatcher, SubmitForAdmitsWhenAClaimFreesSpaceInTime) {
   MicroBatcher b({.queue_capacity = 1, .max_batch_rows = 1,
                   .max_delay = 0us, .clock = &clock});
   const std::size_t m = b.add_model();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   std::atomic<int> outcome{-1};
   std::thread submitter([&] {
-    outcome.store(b.submit_for(m, make_request(1), 10000us) ? 1 : 0);
+    outcome.store(b.submit(m, make_request(1), 10000us) ? 1 : 0);
   });
   // A claim frees the single slot; the parked submitter must admit
   // without any clock movement.
@@ -345,10 +382,11 @@ TEST(MicroBatcher, BackpressureWaitCountsTowardSubmittedTimestamp) {
                   .max_delay = 0us, .clock = &clock});
   const std::size_t m = b.add_model();
   const auto t0 = clock.now();
-  ASSERT_TRUE(b.try_submit(m, make_request(1)));  // queue full
+  // queue full
+  ASSERT_TRUE(b.submit(m, make_request(1), Admission::kFailFast));
 
   std::thread submitter([&] {
-    EXPECT_TRUE(b.submit_for(m, make_request(1), 60000us));
+    EXPECT_TRUE(b.submit(m, make_request(1), 60000us));
   });
   while (clock.parked() == 0) std::this_thread::yield();
   clock.advance(3ms);  // virtual backpressure wait
@@ -368,8 +406,8 @@ TEST(MicroBatcher, SubmitForRefusesAfterClose) {
   MicroBatcher b({.queue_capacity = 4});
   const std::size_t m = b.add_model();
   b.close();
-  EXPECT_FALSE(b.submit_for(m, make_request(1), 1000us));
-  EXPECT_FALSE(b.try_submit(m, make_request(1)));
+  EXPECT_FALSE(b.submit(m, make_request(1), 1000us));
+  EXPECT_FALSE(b.submit(m, make_request(1), Admission::kFailFast));
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +445,7 @@ TEST(MicroBatcherQos, PerModelRowBudgetOverrideApplies) {
                   .max_delay = 0us});
   const auto small = b.add_model({.max_batch_rows = 2});
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(b.try_submit(small, make_request(1)));
+    ASSERT_TRUE(b.submit(small, make_request(1), Admission::kFailFast));
   }
   MicroBatcher::Batch batch;
   ASSERT_TRUE(b.next(batch));
@@ -423,9 +461,9 @@ TEST(MicroBatcherQos, StrictPriorityBetweenClasses) {
 
   // Enqueue in anti-priority order: claims must still come out strictly
   // interactive, batch, background.
-  ASSERT_TRUE(b.try_submit(bg, make_request(1)));
-  ASSERT_TRUE(b.try_submit(batchm, make_request(1)));
-  ASSERT_TRUE(b.try_submit(inter, make_request(1)));
+  ASSERT_TRUE(b.submit(bg, make_request(1), Admission::kFailFast));
+  ASSERT_TRUE(b.submit(batchm, make_request(1), Admission::kFailFast));
+  ASSERT_TRUE(b.submit(inter, make_request(1), Admission::kFailFast));
 
   MicroBatcher::Batch batch;
   ASSERT_TRUE(b.next(batch));
@@ -444,8 +482,8 @@ TEST(MicroBatcherQos, StarvationBoundServesBackloggedLowerClass) {
   const auto inter = b.add_model({.priority = Priority::kInteractive});
   const auto bg = b.add_model({.priority = Priority::kBackground});
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(b.try_submit(inter, make_request(1)));
-    ASSERT_TRUE(b.try_submit(bg, make_request(1)));
+    ASSERT_TRUE(b.submit(inter, make_request(1), Admission::kFailFast));
+    ASSERT_TRUE(b.submit(bg, make_request(1), Admission::kFailFast));
   }
 
   // With both classes backlogged, background is served exactly every
@@ -467,8 +505,8 @@ TEST(MicroBatcherQos, WeightedDeficitShareWithinClass) {
   const auto heavy = b.add_model({.weight = 3});
   const auto light = b.add_model({.weight = 1});
   for (int i = 0; i < 80; ++i) {
-    ASSERT_TRUE(b.try_submit(heavy, make_request(1)));
-    ASSERT_TRUE(b.try_submit(light, make_request(1)));
+    ASSERT_TRUE(b.submit(heavy, make_request(1), Admission::kFailFast));
+    ASSERT_TRUE(b.submit(light, make_request(1), Admission::kFailFast));
   }
 
   int heavy_claims = 0, light_claims = 0;
@@ -494,8 +532,8 @@ TEST(MicroBatcherQos, DeficitAccountsRowsNotClaims) {
   // backlog 4x as fast: feed both deep enough to stay backlogged for
   // the whole 100 measured claims.
   for (int i = 0; i < 250; ++i) {
-    ASSERT_TRUE(b.try_submit(big, make_request(4)));
-    ASSERT_TRUE(b.try_submit(small, make_request(1)));
+    ASSERT_TRUE(b.submit(big, make_request(4), Admission::kFailFast));
+    ASSERT_TRUE(b.submit(small, make_request(1), Admission::kFailFast));
   }
 
   std::int64_t big_rows = 0, small_rows = 0;
@@ -554,7 +592,7 @@ TEST(MicroBatcherProperty, RandomizedStreamsKeepFifoBudgetAndDeadline) {
         const std::size_t m = rng.uniform(num_models);
         const index_t rows = static_cast<index_t>(
             1 + rng.uniform(2 * opts.max_batch_rows));  // some oversize
-        ASSERT_TRUE(b.try_submit(m, make_request(rows, seq)));
+        ASSERT_TRUE(b.submit(m, make_request(rows, seq), Admission::kFailFast));
         fifo[m].push_back(seq++);
         ++pending;
       }

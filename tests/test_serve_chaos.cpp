@@ -13,21 +13,26 @@
 //     failed over, not dropped.
 //
 // Time is a FakeClock driven by the single test thread, which makes
-// the bursts deterministic: with the clock frozen, a worker that
-// claims a partial batch parks in its coalescing window, so burst
-// traffic piles up in the queues and a kill provably orphans work.
+// the kills deterministic: the two shards that get killed pay an
+// injected latency per batch, so with the clock frozen each of their
+// workers takes at most one batch more before it parks.  A burst that
+// queues more than that on a shard therefore leaves work for the kill
+// to orphan, however the worker threads are scheduled.
 // The suite carries the `serve` CTest label and runs under TSan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "radixnet/graph_challenge.hpp"
+#include "serve/fault.hpp"
 #include "serve/router.hpp"
 #include "support/random.hpp"
 #include "support/thread.hpp"
@@ -58,18 +63,28 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
   const auto d_b1 = make_dnn(1024, 2, 201);
   const auto d_b2 = make_dnn(1024, 2, 202);
 
+  constexpr unsigned kWorkers = 2;
+  constexpr index_t kMaxRows = 64;
+  constexpr auto kHold = 100us;
   FakeClock clock;
+  // Shards 0 and 2 are the ones killed.  Every batch they run first
+  // waits kHold of virtual time, so while the clock is frozen each of
+  // their workers can take at most kMaxRows more rows off the queue
+  // before it parks.  Shard 1 runs unheld: it is drained at a frozen
+  // instant, which a held batch would never finish.
+  FaultInjector hold0({.added_latency = kHold});
+  FaultInjector hold2({.added_latency = kHold});
   ShardRouter router({.shards = 3,
-                      .engine = {.workers = 2,
-                                 // Larger than any burst backlog: every
-                                 // claim is partial, so a frozen clock
-                                 // parks the claimer in its coalescing
-                                 // window and the rest of the burst
-                                 // stays queued for the kill to orphan.
-                                 .max_batch_rows = 64,
+                      .engine = {.workers = kWorkers,
+                                 .max_batch_rows = kMaxRows,
                                  .max_delay = 200us,
                                  .queue_capacity = 4096,
-                                 .clock = &clock}});
+                                 .clock = &clock},
+                      .tune_shard = [&](std::size_t shard, EngineOptions& eo) {
+                        eo.fault = shard == 0   ? &hold0
+                                   : shard == 2 ? &hold2
+                                                : nullptr;
+                      }});
   const auto a = router.add_model(
       d_a, "chat", {.priority = Priority::kInteractive, .weight = 4});
   const auto b = router.add_model(
@@ -94,6 +109,8 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
   std::exponential_distribution<double> gap_at_peak(1.0);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   double t_us = 0.0;  // virtual time, microseconds since start
+  std::int64_t advanced_us = 0;
+  std::uint64_t failovers_expected = 0;
 
   const auto submit_one = [&] {
     const ModelId id = unit(gen) < 0.6 ? a : b;
@@ -102,24 +119,53 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
     sent.push_back({result.take_future(), id, swapped && id == b});
   };
 
-  // Burst: submit without advancing the clock, then keep topping up
-  // until the target shard provably holds queued (unclaimed) work, so
-  // the upcoming kill has something to orphan.
-  const auto burst_onto = [&](std::size_t shard) {
-    for (int i = 0; i < 40; ++i) submit_one();
-    int extra = 0;
-    while (router.shard(shard).pending(a) + router.shard(shard).pending(b) ==
-               0 &&
-           extra++ < 64) {
-      submit_one();
-    }
-    ASSERT_GT(router.shard(shard).pending(a) + router.shard(shard).pending(b),
-              0u)
-        << "burst never landed queued work on shard " << shard;
+  const auto queued_on = [&](std::size_t shard) {
+    return router.shard(shard).pending(a) + router.shard(shard).pending(b);
+  };
+  // Every request a kill takes off the queue lands on the dead shard's
+  // ledger as an error (nothing else fails in this run).
+  const auto errors_on = [&](std::size_t shard) {
+    return router.shard(shard).stats(a).errors +
+           router.shard(shard).stats(b).errors;
   };
 
-  const auto orphans_of = [&](std::size_t shard) {
-    return router.shard(shard).pending(a) + router.shard(shard).pending(b);
+  // Kill a held shard under a burst.  Submit without advancing the
+  // clock until the shard queues more than its workers can still take,
+  // so the kill provably orphans work.  The kill joins workers parked in
+  // their injected wait, so virtual time must move for it to return --
+  // but only once the abort has taken the queue; released earlier, the
+  // workers would claim what the kill is meant to orphan.
+  const auto kill_under_burst = [&](std::size_t shard) {
+    constexpr std::size_t kAbsorbable = kWorkers * kMaxRows;
+    for (int extra = 0; queued_on(shard) <= kAbsorbable && extra < 8192;
+         ++extra) {
+      submit_one();
+    }
+    ASSERT_GT(queued_on(shard), kAbsorbable)
+        << "burst never queued enough work on shard " << shard;
+    const auto errors_before = errors_on(shard);
+    const auto failovers_before = router.failovers();
+    // Watched through the engine itself: the kill publishes a new fleet,
+    // which must not race a fleet read on this thread.
+    const Engine& dying = router.shard(shard);
+    std::atomic<bool> killed{false};
+    std::thread killer([&] {
+      router.kill_shard(shard);
+      killed.store(true);
+    });
+    while (dying.accepting()) std::this_thread::yield();
+    while (!killed.load()) {
+      clock.advance(kHold);
+      advanced_us += kHold.count();
+      t_us += static_cast<double>(kHold.count());
+      std::this_thread::sleep_for(100us);
+    }
+    killer.join();
+    const auto orphans = errors_on(shard) - errors_before;
+    EXPECT_GT(orphans, 0u) << "kill of shard " << shard << " orphaned nothing";
+    EXPECT_EQ(router.failovers() - failovers_before, orphans)
+        << "kill must fail over exactly the orphaned requests";
+    failovers_expected += orphans;
   };
 
   // Inhomogeneous Poisson arrivals by thinning: candidates at the peak
@@ -127,8 +173,6 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
   // following a 3ms sinusoid -- alternating busy and quiet stretches.
   constexpr int kArrivals = 360;
   int accepted = 0;
-  std::int64_t advanced_us = 0;
-  std::uint64_t failovers_expected = 0;
   while (accepted < kArrivals) {
     t_us += 50.0 * gap_at_peak(gen);
     if (const auto target = static_cast<std::int64_t>(t_us);
@@ -143,17 +187,10 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
     submit_one();
 
     switch (accepted) {
-      case 60: {
-        burst_onto(0);
-        const auto orphans = orphans_of(0);
-        const auto before = router.failovers();
-        router.kill_shard(0);
-        EXPECT_EQ(router.failovers(), before + orphans)
-            << "kill must fail over exactly the orphaned requests";
-        failovers_expected += orphans;
+      case 60:
+        kill_under_burst(0);
         EXPECT_TRUE(router.accepting());
         break;
-      }
       case 100:
         router.restart_shard(0);
         EXPECT_EQ(router.shard_health(0), ShardHealth::kUp);
@@ -176,15 +213,9 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
       case 220:
         router.restart_shard(1);  // back from maintenance
         break;
-      case 260: {
-        burst_onto(2);
-        const auto orphans = orphans_of(2);
-        const auto before = router.failovers();
-        router.kill_shard(2);
-        EXPECT_EQ(router.failovers(), before + orphans);
-        failovers_expected += orphans;
+      case 260:
+        kill_under_burst(2);
         break;
-      }
       case 300:
         router.restart_shard(2);
         break;
@@ -196,8 +227,11 @@ TEST(ServeChaos, ShardChurnUnderBurstyLoadLosesNothing) {
   EXPECT_GT(failovers_expected, 0u) << "chaos run exercised no failover";
   EXPECT_EQ(router.failovers(), failovers_expected);
 
-  // Flush: advance past every coalescing deadline, then drain the
-  // fleet.  After this, every admitted future must be ready.
+  // Flush: stop holding batches, advance past every coalescing
+  // deadline, then drain the fleet.  After this, every admitted future
+  // must be ready.
+  hold0.cancel();
+  hold2.cancel();
   clock.advance(10s);
   router.shutdown();
 

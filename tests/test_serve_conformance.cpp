@@ -183,14 +183,13 @@ TEST_P(BackendConformance, AdmissionModesAndNameLookup) {
   const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
 
   // An idle backend admits under every mode.
-  for (const auto admission :
-       {Admission::kBlock, Admission::kFailFast, Admission::kBoundedWait}) {
+  for (const auto admission : {Admission::kBlock, Admission::kFailFast,
+                                std::chrono::microseconds{10ms}}) {
     SubmitOptions opts;
     opts.admission = admission;
-    opts.timeout = 10ms;
     auto result =
         s.get().submit(InferenceRequest::borrowed(s.model, input, 1), opts);
-    ASSERT_TRUE(result.admitted()) << "mode " << static_cast<int>(admission);
+    ASSERT_TRUE(result.admitted()) << "budget " << admission.count();
     (void)result.get();
   }
 

@@ -63,7 +63,7 @@ TEST(BatcherDeadline, ExactDeadlineIsShedNotDispatched) {
 
   Request r = make_request(1, 7);
   r.deadline = clock.now() + 100us;
-  ASSERT_TRUE(b.submit(m, std::move(r)));
+  ASSERT_TRUE(b.submit(m, std::move(r), Admission::kBlock));
 
   // The boundary case the issue pins down: now == deadline at claim
   // time means shed.  "Expiring exactly at the deadline" must not
@@ -81,7 +81,7 @@ TEST(BatcherDeadline, ExactDeadlineIsShedNotDispatched) {
   // One tick earlier the same request is live work.
   Request r2 = make_request(1, 8);
   r2.deadline = clock.now() + 100us;
-  ASSERT_TRUE(b.submit(m, std::move(r2)));
+  ASSERT_TRUE(b.submit(m, std::move(r2), Admission::kBlock));
   clock.advance(99us);
   ASSERT_TRUE(b.next(out));
   ASSERT_EQ(out.requests.size(), 1u);
@@ -100,8 +100,8 @@ TEST(BatcherDeadline, ExpiredAndLiveSplitWithinOneClaim) {
   dead.deadline = clock.now() + 50us;
   Request live = make_request(3, 2);
   live.deadline = clock.now() + 10ms;
-  ASSERT_TRUE(b.submit(m, std::move(dead)));
-  ASSERT_TRUE(b.submit(m, std::move(live)));
+  ASSERT_TRUE(b.submit(m, std::move(dead), Admission::kBlock));
+  ASSERT_TRUE(b.submit(m, std::move(live), Admission::kBlock));
 
   clock.advance(1ms);  // past dead's deadline, inside live's
   MicroBatcher::Batch out;
@@ -122,7 +122,7 @@ TEST(BatcherDeadline, RequestsExpiringDuringCoalescingWaitAreSwept) {
 
   Request r = make_request(1, 3);
   r.deadline = clock.now() + 200us;  // inside the 500us coalescing window
-  ASSERT_TRUE(b.submit(m, std::move(r)));
+  ASSERT_TRUE(b.submit(m, std::move(r), Admission::kBlock));
 
   MicroBatcher::Batch out;
   std::thread consumer([&] { ASSERT_TRUE(b.next(out)); });
@@ -155,37 +155,37 @@ TEST(BatcherShed, DropsNewestOfLowestBackloggedClassFirst) {
 
   MicroBatcher::ShedList shed;
   // Distinct enqueue stamps so "newest" is well defined.
-  ASSERT_TRUE(b.submit(bg, make_request(1, 101), &shed));
+  ASSERT_TRUE(b.submit(bg, make_request(1, 101), Admission::kBlock, &shed));
   clock.advance(1us);
-  ASSERT_TRUE(b.submit(bg, make_request(1, 102), &shed));
+  ASSERT_TRUE(b.submit(bg, make_request(1, 102), Admission::kBlock, &shed));
   clock.advance(1us);
-  ASSERT_TRUE(b.submit(ba, make_request(1, 201), &shed));
+  ASSERT_TRUE(b.submit(ba, make_request(1, 201), Admission::kBlock, &shed));
   clock.advance(1us);
-  ASSERT_TRUE(b.submit(ba, make_request(1, 202), &shed));
+  ASSERT_TRUE(b.submit(ba, make_request(1, 202), Admission::kBlock, &shed));
   clock.advance(1us);
   EXPECT_TRUE(shed.empty());  // at capacity, nothing over it yet
 
   // Interactive arrivals shed background first (newest first), then
   // batch -- never interactive.
-  ASSERT_TRUE(b.submit(ia, make_request(1, 301), &shed));
+  ASSERT_TRUE(b.submit(ia, make_request(1, 301), Admission::kBlock, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, bg);
   EXPECT_EQ(seq_of(shed[0].second), 102u);
   shed.clear();
 
-  ASSERT_TRUE(b.submit(ia, make_request(1, 302), &shed));
+  ASSERT_TRUE(b.submit(ia, make_request(1, 302), Admission::kBlock, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, bg);
   EXPECT_EQ(seq_of(shed[0].second), 101u);
   shed.clear();
 
-  ASSERT_TRUE(b.submit(ia, make_request(1, 303), &shed));
+  ASSERT_TRUE(b.submit(ia, make_request(1, 303), Admission::kBlock, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, ba);
   EXPECT_EQ(seq_of(shed[0].second), 202u);
   shed.clear();
 
-  ASSERT_TRUE(b.submit(ia, make_request(1, 304), &shed));
+  ASSERT_TRUE(b.submit(ia, make_request(1, 304), Admission::kBlock, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, ba);
   EXPECT_EQ(seq_of(shed[0].second), 201u);
@@ -194,14 +194,14 @@ TEST(BatcherShed, DropsNewestOfLowestBackloggedClassFirst) {
   // Only interactive is backlogged now: an incoming interactive has no
   // strictly lower class to shed, so it sheds ITSELF (still admitted --
   // the caller completes it with DeadlineExceededError).
-  ASSERT_TRUE(b.submit(ia, make_request(1, 305), &shed));
+  ASSERT_TRUE(b.submit(ia, make_request(1, 305), Admission::kBlock, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, ia);
   EXPECT_EQ(seq_of(shed[0].second), 305u);
   shed.clear();
 
   // Same for an incoming background request: nothing sits below it.
-  ASSERT_TRUE(b.try_submit(bg, make_request(1, 106), &shed));
+  ASSERT_TRUE(b.submit(bg, make_request(1, 106), Admission::kFailFast, &shed));
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].first, bg);
   EXPECT_EQ(seq_of(shed[0].second), 106u);
@@ -229,7 +229,7 @@ TEST(BatcherShed, DropsNewestOfLowestBackloggedClassFirst) {
 TEST(BatcherShed, ShedCapacityRequiresAShedList) {
   MicroBatcher b({.shed_capacity = 2});
   const auto m = b.add_model({});
-  EXPECT_THROW((void)b.submit(m, make_request(1, 1)), Error);
+  EXPECT_THROW((void)b.submit(m, make_request(1, 1), Admission::kBlock), Error);
   b.close();
 }
 
@@ -416,7 +416,7 @@ TEST(EngineShed, PressureShedDropsBackgroundBeforeInteractive) {
 }
 
 // ---------------------------------------------------------------------------
-// kBoundedWait admission composes with the end-to-end deadline.
+// A finite admission budget composes with the end-to-end deadline.
 
 TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
   const auto m = make_model(1024, 2, 4);
@@ -453,8 +453,7 @@ TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
   std::atomic<int> verdict{-1};
   std::thread submitter([&] {
     SubmitOptions opts;
-    opts.admission = Admission::kBoundedWait;
-    opts.timeout = 10ms;
+    opts.admission = 10ms;
     opts.deadline = 1ms;
     opts.done = doomed.done();
     verdict.store(
@@ -475,14 +474,13 @@ TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
   EXPECT_EQ(verdict.load(), 0);
   EXPECT_EQ(doomed.total(), 0u);  // never admitted => never completed
 
-  // A pre-expired deadline degrades to try_submit: with the queue still
-  // full it rejects immediately instead of parking for `timeout` (a
+  // A pre-expired deadline degrades to fail fast: with the queue still
+  // full it rejects immediately instead of parking for its budget (a
   // wrongly parked wait would hang this test -- virtual time only
   // advances below).
   {
     SubmitOptions opts;
-    opts.admission = Admission::kBoundedWait;
-    opts.timeout = 10ms;
+    opts.admission = 10ms;
     opts.deadline = -1us;
     opts.done = doomed.done();
     EXPECT_FALSE(
@@ -504,8 +502,7 @@ TEST(EngineBoundedWait, AdmissionWaitIsCappedAtRemainingDeadline) {
   Ledger relay;
   {
     SubmitOptions opts;
-    opts.admission = Admission::kBoundedWait;
-    opts.timeout = 10ms;
+    opts.admission = 10ms;
     opts.deadline = -1us;
     opts.done = relay.done();
     EXPECT_TRUE(

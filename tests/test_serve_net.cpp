@@ -9,6 +9,8 @@
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -23,8 +25,10 @@
 #include "net/socket.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "serve/engine.hpp"
+#include "serve/fault.hpp"
 #include "serve/router.hpp"
 #include "support/random.hpp"
+#include "support/thread.hpp"
 
 namespace radix::net {
 namespace {
@@ -37,6 +41,16 @@ std::shared_ptr<infer::SparseDnn> make_dnn(index_t neurons,
   Rng rng(seed);
   const auto net = gc::network(neurons, layers, &rng);
   return std::make_shared<infer::SparseDnn>(net.layers, net.bias, gc::kClamp);
+}
+
+template <typename Pred>
+bool eventually(Pred&& pred) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(200us);
+  }
+  return true;
 }
 
 std::vector<float> direct_forward(const infer::SparseDnn& dnn,
@@ -257,6 +271,26 @@ TEST(ServeNet, ExpiredDeadlineCompletesWithDeadlineExceeded) {
   EXPECT_EQ(wire.errors, s.local().stats(0).errors);
 }
 
+TEST(ServeNet, OutOfRangeDeadlinesAreClampedNotWrapped) {
+  // Deadlines past the clock's range from the wire: the largest is served
+  // as a far deadline, the smallest as a spent one -- neither may wrap
+  // around in the backend's clock arithmetic.
+  Served s = engine_served();
+  RemoteBackend remote(s.server->port());
+
+  Rng irng(79);
+  const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
+  auto far = remote.submit(serve::InferenceRequest::borrowed(0, input, 1),
+                           {.deadline = std::chrono::microseconds::max()});
+  ASSERT_TRUE(far.admitted());
+  EXPECT_EQ(far.get(), direct_forward(*s.dnn, input, 1));
+
+  auto spent = remote.submit(serve::InferenceRequest::borrowed(0, input, 1),
+                             {.deadline = std::chrono::microseconds::min()});
+  ASSERT_TRUE(spent.admitted());
+  EXPECT_THROW(spent.get(), serve::DeadlineExceededError);
+}
+
 TEST(ServeNet, UnknownModelFailsTheSubmitCall) {
   Served s = engine_served();
   RemoteBackend remote(s.server->port());
@@ -267,36 +301,113 @@ TEST(ServeNet, UnknownModelFailsTheSubmitCall) {
 }
 
 TEST(ServeNet, FailFastRejectsUnderBacklog) {
-  // One worker, tiny queue, deep model: keep the worker busy so a
-  // fail-fast submit meets a full queue.
-  Served s = engine_served({.workers = 1, .queue_capacity = 2}, 12);
+  // One worker, tiny queue, deep model.  The worker holds its first
+  // batch in an hour-long injected wait on a fake clock and two more
+  // fill the queue behind it, so the backlog cannot drain and a
+  // fail-fast submit provably meets a full queue.
+  FakeClock clock;
+  serve::FaultInjector hold({.added_latency = 1h});
+  Served s = engine_served({.workers = 1,
+                            .max_delay = 0us,
+                            .queue_capacity = 2,
+                            .clock = &clock,
+                            .fault = &hold},
+                           12);
+  struct Release {
+    serve::FaultInjector& hold;
+    ~Release() { hold.cancel(); }  // lets the worker drain on teardown
+  } release{hold};
   RemoteBackend remote(s.server->port());
 
   Rng irng(78);
   const auto big = gc::synthetic_input(64, 1024, 0.4, irng);
   std::vector<std::future<std::vector<float>>> admitted;
-  for (int i = 0; i < 6; ++i) {
-    auto result =
-        remote.submit(serve::InferenceRequest::borrowed(0, big, 64));
-    if (result.admitted()) admitted.push_back(result.take_future());
-  }
+  const auto submit_big = [&] {
+    auto result = remote.submit(serve::InferenceRequest::borrowed(0, big, 64));
+    ASSERT_TRUE(result.admitted());
+    admitted.push_back(result.take_future());
+  };
+  submit_big();
+  ASSERT_TRUE(eventually(
+      [&] { return s.engine->pending(0) == 0 && clock.parked() == 1; }));
+  submit_big();
+  submit_big();
+  ASSERT_EQ(s.engine->pending(0), 2u);
 
-  bool rejected = false;
   const auto one = gc::synthetic_input(1, 1024, 0.4, irng);
-  for (int i = 0; i < 200 && !rejected; ++i) {
-    serve::SubmitOptions opts;
-    opts.admission = serve::Admission::kFailFast;
-    auto result =
-        remote.submit(serve::InferenceRequest::borrowed(0, one, 1), opts);
-    if (result.admitted()) {
-      (void)result.take_future();  // let it complete; reader owns delivery
-    } else {
-      rejected = true;
-    }
-  }
-  EXPECT_TRUE(rejected)
+  serve::SubmitOptions opts;
+  opts.admission = serve::Admission::kFailFast;
+  EXPECT_FALSE(remote.submit(serve::InferenceRequest::borrowed(0, one, 1), opts)
+                   .admitted())
       << "kFailFast against a saturated remote queue must reject";
-  for (auto& f : admitted) (void)f.get();
+  EXPECT_EQ(s.engine->pending(0), 2u) << "a rejection must not enqueue";
+
+  hold.cancel();
+  const auto want = direct_forward(*s.dnn, big, 64);
+  for (auto& f : admitted) EXPECT_EQ(f.get(), want);
+}
+
+TEST(ServeNet, AdmissionBudgetOverTheWireIsClampedNeverAHang) {
+  // A saturated backend on a fake clock: the lone worker holds a plug
+  // in an hour-long injected wait and a filler takes the one queue
+  // slot.  Over the wire a negative budget fails fast, and kBlock is
+  // clamped to the server's 250 ms cap, so it ends in a rejection.
+  FakeClock clock;
+  serve::FaultInjector hold({.added_latency = 1h});
+  Served s = engine_served({.workers = 1,
+                            .max_delay = 0us,
+                            .queue_capacity = 1,
+                            .clock = &clock,
+                            .fault = &hold});
+  struct Release {
+    serve::FaultInjector& hold;
+    ~Release() { hold.cancel(); }  // lets the worker drain on teardown
+  } release{hold};
+
+  Rng irng(83);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  const auto submit_local = [&] {
+    return s.engine->submit(serve::InferenceRequest::borrowed(0, x, 1))
+        .take_future();
+  };
+  auto plug = submit_local();
+  ASSERT_TRUE(eventually(
+      [&] { return s.engine->pending(0) == 0 && clock.parked() == 1; }));
+  auto filler = submit_local();
+  ASSERT_EQ(s.engine->pending(0), 1u);
+
+  RemoteBackend remote(s.server->port());
+  // Virtual time never moves here: a budget that waited would hang.
+  for (const auto wait : {-1us, std::chrono::microseconds::min()}) {
+    EXPECT_FALSE(remote
+                     .submit(serve::InferenceRequest::borrowed(0, x, 1),
+                             {.admission = wait})
+                     .admitted())
+        << "budget " << wait.count();
+  }
+  EXPECT_EQ(clock.parked(), 1) << "a negative budget must not wait";
+
+  std::atomic<int> verdict{-1};
+  std::thread blocked([&] {
+    const auto result =
+        remote.submit(serve::InferenceRequest::borrowed(0, x, 1),
+                      {.admission = serve::Admission::kBlock});
+    verdict.store(result.admitted() ? 1 : 0);
+  });
+  // The submit-pool thread waits out its clamped budget on the clock.
+  ASSERT_TRUE(eventually([&] { return clock.parked() == 2; }));
+  clock.advance(249ms);
+  std::this_thread::sleep_for(10ms);
+  EXPECT_EQ(verdict.load(), -1) << "the clamped wait gave up early";
+  clock.advance(1ms);
+  blocked.join();
+  EXPECT_EQ(verdict.load(), 0) << "kBlock over the wire must be rejected";
+  EXPECT_EQ(s.engine->pending(0), 1u) << "a rejection must not enqueue";
+
+  hold.cancel();
+  const auto want = direct_forward(*s.dnn, x, 1);
+  EXPECT_EQ(plug.get(), want);
+  EXPECT_EQ(filler.get(), want);
 }
 
 TEST(ServeNet, AdminVerbsAgainstRouter) {
@@ -378,8 +489,18 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
   // A deep model and one worker: queue several slow requests from a raw
   // socket, then vanish.  The server must notice the EOF, complete the
   // backend requests anyway (it cannot un-submit them), and DROP the
-  // responses -- counted as orphaned, never written to a dead fd.
-  Served s = engine_served({.workers = 1}, 12);
+  // responses -- counted as orphaned, never written to a dead fd.  The
+  // worker holds its first batch in an injected wait on a fake clock
+  // until the server has seen the disconnect, so no response can beat
+  // it.
+  FakeClock clock;
+  serve::FaultInjector hold({.added_latency = 1h});
+  Served s = engine_served(
+      {.workers = 1, .max_delay = 0us, .clock = &clock, .fault = &hold}, 12);
+  struct Release {
+    serve::FaultInjector& hold;
+    ~Release() { hold.cancel(); }  // lets the worker drain on teardown
+  } release{hold};
 
   Rng irng(80);
   const auto input = gc::synthetic_input(64, 1024, 0.4, irng);
@@ -390,14 +511,24 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
       WireWriter w(body);
       w.u64(0);                                  // model
       w.u32(64);                                 // rows
-      w.u8(static_cast<std::uint8_t>(serve::Admission::kBlock));
-      w.i64(0);                                  // admission timeout
+      w.i64(serve::Admission::kBlock.count());  // admission budget
       w.i64(0);                                  // deadline
       w.u64(0);                                  // trace id
       w.floats(input);
       send_frame(fd, MsgType::kSubmit, static_cast<std::uint64_t>(i), body);
     }
-  }  // fd closes here: disconnect with up to 8 requests in flight
+    // Every request is in the backend (one held, seven queued) before
+    // the client goes.
+    ASSERT_TRUE(eventually(
+        [&] { return s.engine->pending(0) == 7 && clock.parked() == 1; }));
+  }  // fd closes here: disconnect with 8 requests in flight
+
+  // A later client's round trip: the server handles the first
+  // connection's hang-up, which was readable before this client even
+  // connected, no later than it answers this ping.
+  RemoteBackend remote(s.server->port());
+  remote.ping();
+  hold.cancel();
 
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (s.server->orphaned_responses() == 0 &&
@@ -407,7 +538,6 @@ TEST(ServeNet, ClientDisconnectOrphansLateResponses) {
   EXPECT_GT(s.server->orphaned_responses(), 0u);
 
   // The server is still healthy for other clients afterwards.
-  RemoteBackend remote(s.server->port());
   remote.ping();
   const auto small = gc::synthetic_input(1, 1024, 0.4, irng);
   EXPECT_EQ(remote.submit(serve::InferenceRequest::owned(0, small, 1)).get(),
@@ -430,14 +560,21 @@ TEST(ServeNet, HalfCloseStillRunsEveryBufferedSubmit) {
       WireWriter w(body);
       w.u64(0);                                  // model
       w.u32(1);                                  // rows
-      w.u8(static_cast<std::uint8_t>(serve::Admission::kBlock));
-      w.i64(0);                                  // admission timeout
+      w.i64(serve::Admission::kBlock.count());  // admission budget
       w.i64(0);                                  // deadline
       w.u64(0);                                  // trace id
       w.floats(input);
       send_frame(fd, MsgType::kSubmit, i, body);
     }
     ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+    // Close only once the server's kernel has acknowledged every byte
+    // and the FIN.  Closing with unread responses resets the connection,
+    // and a reset discards what the client's send buffer still holds:
+    // frames that never reached the server.
+    ASSERT_TRUE(eventually([&] {
+      int unacked = 0;
+      return ::ioctl(fd.get(), SIOCOUTQ, &unacked) == 0 && unacked == 0;
+    }));
   }  // and close
 
   const auto deadline = std::chrono::steady_clock::now() + 10s;

@@ -27,6 +27,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "serve/fault.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/router.hpp"
+#include "serve/trace.hpp"
 #include "support/random.hpp"
 #include "support/thread.hpp"
 
@@ -95,13 +98,63 @@ bool eventually(Pred&& pred, std::chrono::milliseconds budget = 10000ms) {
   return true;
 }
 
+// A FakeClock that also reports its waiters' deadlines.  FakeClock's
+// parked() still counts a waiter whose deadline an advance() has just
+// passed until that thread actually runs again; `overdue` names those
+// waiters, so a driver can tell "parked until the next advance" from
+// "woken, not yet running".
+class WaiterClock final : public ClockSource {
+ public:
+  struct Waiters {
+    int parked = 0;   // inside wait_until()
+    int overdue = 0;  // of those, deadline already reached
+  };
+
+  time_point now() const noexcept override { return fake_.now(); }
+
+  std::cv_status wait_until(Monitor& m, std::unique_lock<std::mutex>& lock,
+                            time_point deadline) override {
+    {
+      std::scoped_lock guard(mutex_);
+      deadlines_.insert(deadline);
+    }
+    const auto status = fake_.wait_until(m, lock, deadline);
+    {
+      std::scoped_lock guard(mutex_);
+      deadlines_.erase(deadlines_.find(deadline));
+    }
+    return status;
+  }
+
+  void forget(Monitor& m) override { fake_.forget(m); }
+
+  void advance(duration d) { fake_.advance(d); }
+  void advance_to(time_point tp) { fake_.advance_to(tp); }
+
+  Waiters waiters() const {
+    std::scoped_lock guard(mutex_);
+    const auto t = fake_.now();
+    Waiters w;
+    for (const auto d : deadlines_) {
+      ++w.parked;
+      if (d <= t) ++w.overdue;
+    }
+    return w;
+  }
+
+ private:
+  FakeClock fake_;
+  mutable std::mutex mutex_;
+  std::multiset<time_point> deadlines_;
+};
+
 TEST(ServeOverload, TwoTimesSaturatingLoadShedsBackgroundOnly) {
   const auto chat_model = make_model(1024, 2, 1);
   const auto bulk_model = make_model(1024, 2, 2);
   const std::vector<float> x(static_cast<std::size_t>(chat_model.width),
                              1.0f);
 
-  FakeClock clock;
+  WaiterClock clock;
   // Virtual service model: every request is one batch (max_batch_rows
   // 1) and every batch pays the shard's injected latency.  Shard 0
   // serves 1000 req/s of virtual time, the slow shard 1 only 200 req/s:
@@ -157,15 +210,60 @@ TEST(ServeOverload, TwoTimesSaturatingLoadShedsBackgroundOnly) {
                     .admitted());
   };
 
+  // Workers claim, stamp and finish in real time while virtual time is
+  // frozen, so time may only move once the fleet has settled: every
+  // worker parked in its injected wait until a later instant, or idle
+  // with nothing queued on its shard.  An advance before that would
+  // stamp work that is still running with the next instant.  Settled is
+  // read from counters that move one way while the clock is frozen, in
+  // an order that makes a transition racing the reads look unsettled:
+  //   * no waiter is overdue, so every parked worker stays parked;
+  //   * busy == parked: every worker inside a claimed batch is parked;
+  //   * held == parked: every admitted request that is neither queued
+  //     nor completed sits with a parked worker (one worker per shard,
+  //     one row per batch), so no claim is between its pop and its
+  //     stamp;
+  //   * a shard with queued work has its worker busy.
+  const auto settled = [&] {
+    const WaiterClock::Waiters w = clock.waiters();
+    if (w.overdue != 0) return false;
+    const std::uint64_t submitted =
+        chat_led.submitted.load() + bulk_led.submitted.load();
+    const std::uint64_t done = chat_led.completed() + bulk_led.completed();
+    std::uint64_t queued = 0;
+    std::size_t queued_on[2] = {0, 0};
+    for (std::size_t s = 0; s < 2; ++s) {
+      queued_on[s] =
+          router.shard(s).pending(chat) + router.shard(s).pending(bulk);
+      queued += queued_on[s];
+    }
+    std::uint64_t busy = 0;
+    for (std::size_t s = 0; s < 2; ++s) {
+      const unsigned b = router.shard(s).busy_workers();
+      if (queued_on[s] > 0 && b == 0) return false;  // a claim is due
+      busy += b;
+    }
+    const auto parked = static_cast<std::uint64_t>(w.parked);
+    return busy == parked && submitted - done - queued == parked;
+  };
+  const auto settle = [&] {
+    const auto give_up = std::chrono::steady_clock::now() + 10s;
+    while (!settled()) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+
   // Merge the two schedules in time order, advancing virtual time to
   // each arrival -- the open-loop drive: arrivals do not care how far
   // behind the fleet is.
   double next_chat = chat_arrivals.next();
   double next_bulk = bulk_arrivals.next();
-  std::uint64_t driven = 0;
   while (next_chat < horizon || next_bulk < horizon) {
     const bool interactive = next_chat <= next_bulk;
     const double t = interactive ? next_chat : next_bulk;
+    ASSERT_TRUE(settle()) << "fleet never settled";
     clock.advance_to(t0 + std::chrono::duration_cast<FakeClock::duration>(
                               std::chrono::duration<double>(t)));
     submit_one(interactive);
@@ -174,10 +272,6 @@ TEST(ServeOverload, TwoTimesSaturatingLoadShedsBackgroundOnly) {
     } else {
       next_bulk = bulk_arrivals.next();
     }
-    // Brief real pause so worker threads keep pace with virtual time
-    // (their forward passes run in real time while the clock is
-    // frozen); without it, claim timestamps lag arrivals artificially.
-    if (++driven % 8 == 0) std::this_thread::sleep_for(100us);
   }
 
   const std::uint64_t total_submitted =
@@ -190,8 +284,8 @@ TEST(ServeOverload, TwoTimesSaturatingLoadShedsBackgroundOnly) {
   const auto give_up = std::chrono::steady_clock::now() + 60s;
   while (chat_led.completed() + bulk_led.completed() < total_submitted &&
          std::chrono::steady_clock::now() < give_up) {
+    ASSERT_TRUE(settle()) << "fleet never settled";
     clock.advance(5ms);
-    std::this_thread::sleep_for(300us);
   }
   ASSERT_EQ(chat_led.completed() + bulk_led.completed(), total_submitted);
   router.shutdown();
@@ -246,12 +340,15 @@ TEST(ServeOverload, FailoverCarriesRemainingDeadlineNotAFreshBudget) {
   // a shard while the victim request is still queued.
   FaultInjector hold0({.added_latency = 20ms});
   FaultInjector hold1({.added_latency = 20ms});
+  // The trace records which shard admitted the victim.
+  Tracer tracer({.clock = &clock});
   ShardRouterOptions opts;
   opts.shards = 2;
   opts.engine.workers = 1;
   opts.engine.max_batch_rows = 64;
   opts.engine.max_delay = 0us;
   opts.engine.clock = &clock;
+  opts.engine.tracer = &tracer;
   opts.tune_shard = [&](std::size_t shard, EngineOptions& eo) {
     eo.fault = shard == 1 ? &hold1 : &hold0;
   };
@@ -279,16 +376,22 @@ TEST(ServeOverload, FailoverCarriesRemainingDeadlineNotAFreshBudget) {
   ASSERT_TRUE(eventually([&] { return clock.parked() >= 2; }));
 
   // The victim: 10ms end-to-end deadline, queued behind a busy worker.
-  const auto p0 = router.shard(0).pending(id);
   Ledger victim;
   SubmitOptions so;
   so.deadline = 10ms;
   so.done = victim.done();
-  ASSERT_TRUE(router.submit(InferenceRequest::borrowed(id, x, 1),
-                            std::move(so))
-                  .admitted());
-  const std::size_t victim_shard =
-      router.shard(0).pending(id) > p0 ? 0 : 1;
+  const SubmitResult placed =
+      router.submit(InferenceRequest::borrowed(id, x, 1), std::move(so));
+  ASSERT_TRUE(placed.admitted());
+  // Placement is read, not inferred: the admitting shard recorded the
+  // victim's kAdmitted event before submit returned.
+  std::size_t victim_shard = opts.shards;
+  for (const TraceEvent& e : tracer.drain()) {
+    if (e.id == placed.request_id() && e.kind == TraceEventKind::kAdmitted) {
+      victim_shard = e.shard;
+    }
+  }
+  ASSERT_LT(victim_shard, opts.shards) << "victim's kAdmitted not traced";
 
   // Let the deadline pass (workers still parked), THEN kill the shard
   // holding the victim.  The abort orphans it; the relay resubmits it
@@ -296,13 +399,15 @@ TEST(ServeOverload, FailoverCarriesRemainingDeadlineNotAFreshBudget) {
   // negative.  The pre-fix behavior copied the full 10ms into the
   // resubmission, which would serve the request fresh.
   clock.advance(11ms);
+  // Watched through the engine itself: the kill publishes a new fleet,
+  // which must not race a fleet read on this thread.
+  const Engine& dying = router.shard(victim_shard);
   std::thread killer([&] { router.kill_shard(victim_shard); });
   // The abort takes the victim off the dead shard's queue in the same
   // step that closes it.  Advancing virtual time past the injected wait
   // before that step would let the shard's own worker claim (and
   // expire) the victim, so wait for the close first.
-  ASSERT_TRUE(eventually(
-      [&] { return !router.shard(victim_shard).accepting(); }));
+  ASSERT_TRUE(eventually([&] { return !dying.accepting(); }));
   // kill_shard joins the dead shard's worker, which is parked in its
   // injected wait: walk virtual time forward until the join returns.
   ASSERT_TRUE(eventually([&] {

@@ -2,8 +2,6 @@
 
 #include <sys/socket.h>
 
-#include <future>
-
 namespace radix::net {
 
 using serve::SubmitResult;
@@ -12,8 +10,8 @@ using serve::SubmitResult;
 /// frame, or a submit -- which waits for its kSubmitAck here AND owns
 /// the completion plumbing its kResult (possibly arriving first) is
 /// delivered through.  All fields are guarded by RemoteBackend::mutex_
-/// except `done`/`promise`, which are write-once before the frame is
-/// sent and only read by the delivering thread afterwards.
+/// except `done`, which is write-once before the frame is sent and only
+/// read by the delivering thread afterwards.
 struct RemoteBackend::Pending {
   bool is_submit = false;
   std::optional<Frame> resp;  // ack / RPC response / kError
@@ -22,8 +20,7 @@ struct RemoteBackend::Pending {
   bool ack_handled = false;
   bool admitted = false;
   bool result_delivered = false;
-  serve::DoneFn done;  // callback completion; else promise below
-  std::shared_ptr<std::promise<std::vector<float>>> promise;
+  serve::DoneFn done;  // the request's serve::Completion callback
 };
 
 namespace {
@@ -117,22 +114,10 @@ void RemoteBackend::deliver_result(std::shared_ptr<Pending> entry,
       error = std::current_exception();
     }
   }
-  if (entry->done) {
-    // The DoneFn contract: exceptions escaping the callback are the
-    // caller's bug; swallow them like the in-process workers do.
-    try {
-      entry->done(error ? std::span<const float>{}
-                        : std::span<const float>(output),
-                  timing, error);
-    } catch (...) {
-    }
-    return;
-  }
-  if (error) {
-    entry->promise->set_exception(error);
-  } else {
-    entry->promise->set_value(std::move(output));
-  }
+  serve::deliver(entry->done,
+                 error ? std::span<const float>{}
+                       : std::span<const float>(output),
+                 timing, error);
 }
 
 void RemoteBackend::fail_all(const std::string& reason) {
@@ -167,15 +152,7 @@ void RemoteBackend::fail_all(const std::string& reason) {
   for (auto& entry : to_fail) {
     const auto error = std::make_exception_ptr(
         IoError("radix-served connection lost: " + reason));
-    serve::RequestTiming timing;
-    if (entry->done) {
-      try {
-        entry->done({}, timing, error);
-      } catch (...) {
-      }
-    } else {
-      entry->promise->set_exception(error);
-    }
+    serve::deliver(entry->done, {}, serve::RequestTiming{}, error);
   }
 }
 
@@ -225,12 +202,8 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
 
   auto entry = std::make_shared<Pending>();
   entry->is_submit = true;
-  entry->done = std::move(opts.done);
-  std::future<std::vector<float>> fut;
-  if (!entry->done) {
-    entry->promise = std::make_shared<std::promise<std::vector<float>>>();
-    fut = entry->promise->get_future();
-  }
+  serve::Completion completion(std::move(opts.done));
+  entry->done = std::move(completion.done);
 
   std::uint64_t correlation;
   {
@@ -281,8 +254,7 @@ SubmitResult RemoteBackend::submit(serve::InferenceRequest req,
   lock.unlock();
 
   if (!admitted) return SubmitResult::rejected();
-  if (entry->done) return SubmitResult::admitted_callback(id);
-  return SubmitResult::admitted_future(std::move(fut), id);
+  return completion.admitted(id);
 }
 
 // --- Backend observers -----------------------------------------------------

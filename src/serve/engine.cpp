@@ -21,20 +21,6 @@ std::int64_t nanos_of(std::chrono::steady_clock::time_point tp) {
       .count();
 }
 
-// Completion adapter for future-completion submissions.
-DoneFn promise_done(
-    std::shared_ptr<std::promise<std::vector<float>>> promise) {
-  return [promise = std::move(promise)](std::span<const float> y,
-                                        const RequestTiming&,
-                                        std::exception_ptr err) {
-    if (err) {
-      promise->set_exception(err);
-    } else {
-      promise->set_value(std::vector<float>(y.begin(), y.end()));
-    }
-  };
-}
-
 BatcherOptions batcher_options(const EngineOptions& o) {
   BatcherOptions b;
   b.queue_capacity = o.queue_capacity;
@@ -275,52 +261,24 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
           static_cast<std::size_t>(req.rows) * st->input_width,
       "Engine::submit: input size != rows * input_width");
 
-  const bool callback = static_cast<bool>(opts.done);
+  // A zero-row request has nothing to batch and completes inline below,
+  // but admission still applies: after shutdown the engine serves
+  // nothing, not even empties.
+  if (req.rows == 0 && (!accepting() || batcher_.model_retired(req.model))) {
+    return SubmitResult::rejected();
+  }
+
   // Every admitted request carries a process-wide trace identity: a
   // relay (router failover capsule) passes the one it already assigned
   // so all hops record under one id; direct callers get a fresh one.
   const RequestId rid =
       opts.trace_id != 0 ? opts.trace_id : next_request_id();
   Tracer* const tracer = options_.tracer;
-  if (req.rows == 0) {
-    // Nothing to batch: complete inline.  Admission still applies --
-    // after shutdown the engine serves nothing, not even empties.
-    if (!accepting() || batcher_.model_retired(req.model)) {
-      return SubmitResult::rejected();
-    }
-    if (tracer) {
-      const std::int64_t t = tracer->now_ns();
-      tracer->record_at(t, rid, TraceEventKind::kSubmitted,
-                        options_.shard_index,
-                        static_cast<std::uint32_t>(req.model), st->priority,
-                        0);
-      tracer->record_at(t, rid, TraceEventKind::kCompleted,
-                        options_.shard_index,
-                        static_cast<std::uint32_t>(req.model), st->priority,
-                        0);
-    }
-    RequestTiming timing;
-    timing.request_id = rid;
-    if (callback) {
-      opts.done({}, timing, nullptr);
-      return SubmitResult::admitted_callback(rid);
-    }
-    std::promise<std::vector<float>> p;
-    p.set_value({});
-    return SubmitResult::admitted_future(p.get_future(), rid);
-  }
-
+  Completion completion(std::move(opts.done));
   Request r;
   r.id = rid;
   r.rows = req.rows;
-  std::future<std::vector<float>> future;
-  if (callback) {
-    r.done = std::move(opts.done);
-  } else {
-    auto promise = std::make_shared<std::promise<std::vector<float>>>();
-    future = promise->get_future();
-    r.done = promise_done(std::move(promise));
-  }
+  r.done = std::move(completion.done);
   if (!req.storage.empty()) {
     r.owned = std::move(req.storage);
     r.input = r.owned.data();
@@ -339,6 +297,12 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
     tracer->record(rid, TraceEventKind::kSubmitted, options_.shard_index,
                    static_cast<std::uint32_t>(req.model), st->priority,
                    static_cast<std::uint32_t>(req.rows));
+  }
+  if (req.rows == 0) {
+    const auto now = batcher_.clock().now();
+    r.submitted = now;
+    finish(req.model, *st, {&r, 1}, Outcome::kServed, now, now);
+    return completion.admitted(rid);
   }
 
   // Pressure-shed victims are handed back here and completed OUTSIDE
@@ -366,47 +330,101 @@ SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
                    static_cast<std::uint32_t>(req.model), st->priority,
                    static_cast<std::uint32_t>(req.rows));
   }
-  complete_shed(shed);
-  if (!admitted) return SubmitResult::rejected();
-  return callback ? SubmitResult::admitted_callback(rid)
-                  : SubmitResult::admitted_future(std::move(future), rid);
-}
-
-void Engine::complete_shed(MicroBatcher::ShedList& shed) {
-  if (shed.empty()) return;
-  const auto now = batcher_.clock().now();
-  for (auto& [model, r] : shed) {
-    const auto st = state(model);
-    StatsCollector& cls =
-        class_stats_[static_cast<std::size_t>(st->priority)];
-    RequestTiming timing;
-    timing.queue_seconds = seconds_between(r.submitted, now);
-    timing.total_seconds = timing.queue_seconds;
-    timing.request_id = r.id;
-    // A shed request IS a completed request of this engine: it counts
-    // into requests/errors/shed on both the model and class ledgers,
-    // and its wait lands in the latency tails.
-    st->stats->record_shed(timing.queue_seconds, timing.total_seconds,
-                           /*expired=*/false);
-    cls.record_shed(timing.queue_seconds, timing.total_seconds, false);
-    if (options_.tracer) {
-      options_.tracer->record_at(nanos_of(now), r.id, TraceEventKind::kShed,
-                                 options_.shard_index,
-                                 static_cast<std::uint32_t>(model),
-                                 st->priority,
-                                 static_cast<std::uint32_t>(r.rows));
-    }
-    if (r.done) {
-      try {
-        r.done({}, timing,
-               std::make_exception_ptr(DeadlineExceededError(
-                   "request shed under queue pressure")));
-      } catch (...) {
-        // DoneFn contract: escaping exceptions are swallowed.
-      }
+  if (!shed.empty()) {
+    const auto now = batcher_.clock().now();
+    for (auto& [model, victim] : shed) {
+      finish(model, *state(model), {&victim, 1}, Outcome::kShed, now, now);
     }
   }
-  shed.clear();
+  if (!admitted) return SubmitResult::rejected();
+  return completion.admitted(rid);
+}
+
+void Engine::finish(ModelId model, const ModelState& st,
+                    std::span<Request> group, Outcome outcome,
+                    ClockSource::time_point claimed,
+                    ClockSource::time_point finished,
+                    std::exception_ptr error, std::span<const float> y,
+                    const infer::InferenceStats& fwd) {
+  if (group.empty()) return;  // e.g. a claim with nothing expired
+  TraceEventKind event = TraceEventKind::kCompleted;
+  switch (outcome) {
+    case Outcome::kServed:
+      break;
+    case Outcome::kShed:
+      event = TraceEventKind::kShed;
+      error = std::make_exception_ptr(
+          DeadlineExceededError("request shed under queue pressure"));
+      break;
+    case Outcome::kExpired:
+      event = TraceEventKind::kExpired;
+      error = std::make_exception_ptr(DeadlineExceededError(
+          "end-to-end deadline passed before the request was claimed"));
+      break;
+    case Outcome::kAborted:  // no trace event: the request never ran here
+      error = std::make_exception_ptr(
+          AbortedError("engine aborted before the request was claimed"));
+      break;
+  }
+  index_t batch_rows = 0;
+  if (outcome == Outcome::kServed) {
+    for (const Request& r : group) batch_rows += r.rows;
+  }
+
+  // Record BEFORE delivering completions: a caller that wakes on its
+  // future and immediately reads stats() must already see its own
+  // request (and its batch) counted.  Latencies anchor at `submitted`
+  // (submit entry), not `enqueued` (admission), so time spent blocked
+  // on a full queue is reported.  A shed, expired or aborted request IS
+  // a completed request of this engine: it counts into requests and
+  // errors, and its wait lands in the latency tails.  An aborted one
+  // stays on this shard's ledger even when a router serves it elsewhere:
+  // per-shard stats count what THIS engine did with its admissions.
+  StatsCollector& ledger = *st.stats;
+  if (batch_rows > 0 && !error) {
+    ledger.record_batch(batch_rows, fwd.edges_processed, fwd.wall_seconds);
+  }
+  for (const Request& r : group) {
+    const double qs = seconds_between(r.submitted, claimed);
+    const double ts = seconds_between(r.submitted, finished);
+    if (outcome == Outcome::kShed || outcome == Outcome::kExpired) {
+      ledger.record_shed(qs, ts, outcome == Outcome::kExpired);
+    } else {
+      ledger.record_request(qs, ts, error != nullptr);
+    }
+  }
+
+  Tracer* const tracer =
+      outcome == Outcome::kAborted ? nullptr : options_.tracer;
+  const std::int64_t t_done = tracer ? nanos_of(finished) : 0;
+  // Requests were concatenated in FIFO order, so request i's rows are a
+  // contiguous sub-span of a served batch's output.
+  std::size_t row0 = 0;
+  for (Request& r : group) {
+    if (tracer) {
+      const auto stamp = [&](TraceEventKind kind, index_t rows) {
+        tracer->record_at(t_done, r.id, kind, options_.shard_index,
+                          static_cast<std::uint32_t>(model), st.priority,
+                          static_cast<std::uint32_t>(rows));
+      };
+      // kForwardEnd carries the COALESCED size; a zero-row request
+      // never reached a forward pass.
+      if (batch_rows > 0) stamp(TraceEventKind::kForwardEnd, batch_rows);
+      stamp(event, r.rows);
+    }
+    RequestTiming timing;
+    timing.queue_seconds = seconds_between(r.submitted, claimed);
+    timing.total_seconds = seconds_between(r.submitted, finished);
+    timing.batch_rows = batch_rows;
+    timing.request_id = r.id;
+    std::span<const float> rows_out;
+    if (!error && !y.empty()) {
+      rows_out = y.subspan(row0 * st.output_width,
+                           static_cast<std::size_t>(r.rows) * st.output_width);
+    }
+    deliver(r.done, rows_out, timing, error);
+    row0 += r.rows;
+  }
 }
 
 ServeStats Engine::stats(ModelId id) const {
@@ -416,7 +434,13 @@ ServeStats Engine::stats(ModelId id) const {
 ServeStats Engine::class_stats(Priority p) const {
   RADIX_REQUIRE(static_cast<std::size_t>(p) < kNumPriorities,
                 "Engine: invalid priority class");
-  return class_stats_[static_cast<std::size_t>(p)].snapshot();
+  // Derived, never recorded twice: the bucket-wise merge of the ledgers
+  // of the class's models, removed ones included.
+  ServeStats merged;
+  for (const auto& st : *models_.load(std::memory_order_acquire)) {
+    if (st->priority == p) merged.merge(st->stats->snapshot());
+  }
+  return merged;
 }
 
 std::size_t Engine::pending(ModelId id) const {
@@ -443,29 +467,7 @@ void Engine::stop(bool abort_queued) {
     auto orphans = batcher_.abort();
     const auto now = batcher_.clock().now();
     for (auto& [model, r] : orphans) {
-      const auto st = state(model);
-      StatsCollector& cls =
-          class_stats_[static_cast<std::size_t>(st->priority)];
-      RequestTiming timing;
-      timing.queue_seconds = seconds_between(r.submitted, now);
-      timing.total_seconds = timing.queue_seconds;
-      timing.request_id = r.id;
-      // The shard's own ledger records the abort as an error even when
-      // a router retry later serves the request elsewhere: per-shard
-      // stats count what THIS engine did with its admissions.
-      st->stats->record_request(timing.queue_seconds, timing.total_seconds,
-                                true);
-      cls.record_request(timing.queue_seconds, timing.total_seconds, true);
-      if (r.done) {
-        try {
-          r.done({}, timing,
-                 std::make_exception_ptr(AbortedError(
-                     "engine aborted before the request was claimed")));
-        } catch (...) {
-          // Same contract as worker-side completion: a throwing DoneFn
-          // must not take down the abort sweep.
-        }
-      }
+      finish(model, *state(model), {&r, 1}, Outcome::kAborted, now, now);
     }
     workers_.join_all();
   });
@@ -491,8 +493,6 @@ void Engine::worker_loop(std::size_t worker_index) {
     // One snapshot resolve per claimed batch: every row of this batch
     // is served by this version, so a swap can never split a batch.
     const auto st = state(batch.model);
-    StatsCollector& cls =
-        class_stats_[static_cast<std::size_t>(batch.priority)];
     const auto claimed = clock.now();
     const std::uint32_t model32 = static_cast<std::uint32_t>(batch.model);
     // The claim timestamp is taken once and reused for every member
@@ -503,30 +503,8 @@ void Engine::worker_loop(std::size_t worker_index) {
     // completed FIRST -- before any injected latency or forward work --
     // with DeadlineExceededError.  They never touch a workspace; their
     // only cost was queue residency.
-    for (Request& r : batch.expired) {
-      const double qs = seconds_between(r.submitted, claimed);
-      st->stats->record_shed(qs, qs, /*expired=*/true);
-      cls.record_shed(qs, qs, true);
-      if (tracer) {
-        tracer->record_at(t_claim, r.id, TraceEventKind::kExpired, shard,
-                          model32, batch.priority,
-                          static_cast<std::uint32_t>(r.rows));
-      }
-      RequestTiming timing;
-      timing.queue_seconds = qs;
-      timing.total_seconds = qs;
-      timing.request_id = r.id;
-      if (r.done) {
-        try {
-          r.done({}, timing,
-                 std::make_exception_ptr(DeadlineExceededError(
-                     "end-to-end deadline passed before the request "
-                     "was claimed")));
-        } catch (...) {
-          // DoneFn contract: escaping exceptions are swallowed.
-        }
-      }
-    }
+    finish(batch.model, *st, batch.expired, Outcome::kExpired, claimed,
+           claimed);
     if (batch.rows == 0) {
       // Pure-expired claim: nothing live to serve.
       batcher_.batch_complete(batch.model);
@@ -579,63 +557,8 @@ void Engine::worker_loop(std::size_t worker_index) {
     }
     const auto finished = clock.now();
     busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-    const std::int64_t t_done = tracer ? nanos_of(finished) : 0;
-
-    // Record stats BEFORE delivering completions: a caller that wakes
-    // on its future and immediately reads stats() must already see its
-    // own request counted.  Batches and requests land in the model's
-    // collector and in its service class's aggregate.
-    if (!error) {
-      st->stats->record_batch(batch.rows, fstats.edges_processed,
-                              fstats.wall_seconds);
-      cls.record_batch(batch.rows, fstats.edges_processed,
-                       fstats.wall_seconds);
-    }
-    // Latencies anchor at `submitted` (submit entry), not `enqueued`
-    // (admission), so time spent blocked on a full queue is reported.
-    for (const Request& r : batch.requests) {
-      const double qs = seconds_between(r.submitted, claimed);
-      const double ts = seconds_between(r.submitted, finished);
-      st->stats->record_request(qs, ts, error != nullptr);
-      cls.record_request(qs, ts, error != nullptr);
-    }
-
-    // Scatter per-request output rows back to callers: requests were
-    // concatenated in FIFO order, so request i's rows are a contiguous
-    // sub-span of the batch output.
-    std::size_t row0 = 0;
-    for (Request& r : batch.requests) {
-      if (tracer) {
-        tracer->record_at(t_done, r.id, TraceEventKind::kForwardEnd, shard,
-                          model32, batch.priority,
-                          static_cast<std::uint32_t>(batch.rows));
-        tracer->record_at(t_done, r.id, TraceEventKind::kCompleted, shard,
-                          model32, batch.priority,
-                          static_cast<std::uint32_t>(r.rows));
-      }
-      RequestTiming timing;
-      timing.queue_seconds = seconds_between(r.submitted, claimed);
-      timing.total_seconds = seconds_between(r.submitted, finished);
-      timing.batch_rows = batch.rows;
-      timing.request_id = r.id;
-      std::span<const float> rows_out;
-      if (!error) {
-        rows_out = y.subspan(row0 * st->output_width,
-                             static_cast<std::size_t>(r.rows) *
-                                 st->output_width);
-      }
-      if (r.done) {
-        try {
-          r.done(rows_out, timing, error);
-        } catch (...) {
-          // A throwing completion callback must not take down the
-          // worker (and with it every other in-flight request); the
-          // DoneFn contract documents that escaping exceptions are
-          // swallowed here.
-        }
-      }
-      row0 += r.rows;
-    }
+    finish(batch.model, *st, batch.requests, Outcome::kServed, claimed,
+           finished, error, y, fstats);
     // Claim retired: what remove_model's drain and quiesce() wait on.
     batcher_.batch_complete(batch.model);
   }
@@ -660,7 +583,7 @@ void Engine::export_metrics(MetricsRegistry& registry) const {
   const std::string shard = std::to_string(options_.shard_index);
   for (std::size_t i = 0; i < kNumPriorities; ++i) {
     const auto p = static_cast<Priority>(i);
-    const ServeStats s = class_stats_[i].snapshot();
+    const ServeStats s = class_stats(p);
     const MetricLabels labels{{"class", std::string(to_string(p))},
                               {"shard", shard}};
     registry.set_counter("radix_serve_requests_total", labels,

@@ -58,6 +58,14 @@
 //     rows are independent under the challenge forward rule, so results
 //     are bit-identical to a direct forward of the same rows regardless
 //     of how requests coalesce.
+//   * One completion path, one ledger: every admitted request --
+//     served, failed, shed, expired, aborted or zero-row -- ends in one
+//     private function, finish(), which records it once on its model's
+//     ledger (before the completion runs, so a caller woken by it
+//     already sees itself counted), stamps its trace events and
+//     delivers it through the one serve::deliver that swallows a
+//     throwing DoneFn.  Per-class views (class_stats, export_metrics)
+//     are merges of the model ledgers, not a second recording.
 //   * shutdown() (and the destructor) closes the queues, lets workers
 //     drain every queued request, then joins -- no request is ever
 //     dropped: once submit() has reported admitted, completion is
@@ -81,9 +89,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -305,10 +315,28 @@ class Engine final : public Backend {
   std::shared_ptr<const ModelState> state(ModelId id) const;
   /// Copy-edit-publish helper; caller holds models_mutex_.
   void publish_locked(ModelId id, std::shared_ptr<const ModelState> st);
-  /// Complete pressure-shed victims with DeadlineExceededError and
-  /// record them (model + class `shed` counters).  Runs on the
-  /// submitting thread, outside the batcher monitor.
-  void complete_shed(MicroBatcher::ShedList& shed);
+  /// How a request left this engine.
+  enum class Outcome : std::uint8_t {
+    kServed,   ///< ran forward, or had zero rows; failed when error is set
+    kShed,     ///< dropped under queue pressure
+    kExpired,  ///< its deadline passed before a worker claimed it
+    kAborted,  ///< orphaned in the queue by abort()
+  };
+  /// THE completion path: every request this engine admits ends here,
+  /// exactly once.  `group` holds requests of one model sharing one
+  /// outcome (a served batch, a claim's expired requests, or a single
+  /// shed, orphaned or zero-row request).  Records a served batch, then
+  /// every request, on the model's ledger; then, request by request,
+  /// stamps its trace events and delivers its completion.  Timings run
+  /// from each request's `submitted` to `claimed` (queue wait) and
+  /// `finished`; a served batch passes its forward `error`, output
+  /// panel `y` and forward stats `fwd`.
+  void finish(ModelId model, const ModelState& st, std::span<Request> group,
+              Outcome outcome, ClockSource::time_point claimed,
+              ClockSource::time_point finished,
+              std::exception_ptr error = nullptr,
+              std::span<const float> y = {},
+              const infer::InferenceStats& fwd = {});
   void stop(bool abort_queued);
   QosPolicy resolve_qos(QosPolicy qos) const;
   void worker_loop(std::size_t worker_index);
@@ -318,9 +346,6 @@ class Engine final : public Backend {
 
   mutable std::mutex models_mutex_;  // serializes registry mutations
   std::atomic<std::shared_ptr<const Registry>> models_;
-
-  // Per-class aggregation across models (workers record into both).
-  std::array<StatsCollector, kNumPriorities> class_stats_;
 
   // Live gauge behind export_metrics: workers inside a claimed batch.
   std::atomic<unsigned> busy_workers_{0};

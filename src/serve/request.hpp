@@ -19,6 +19,10 @@
 //   * SubmitResult     -- what came back: whether the request was
 //     admitted, and for future-completion submissions the future that
 //     will carry the output rows.
+//   * Completion       -- the adapter every backend builds from
+//     SubmitOptions::done: the one DoneFn it finishes the request
+//     through (the caller's, or a promise-backed one) plus the future
+//     for the SubmitResult; deliver() runs it.
 //
 // Every backend exposes exactly one entry point over these types
 // (Backend::submit in serve/backend.hpp); there are no per-mode
@@ -30,6 +34,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,13 +95,27 @@ struct RequestTiming {
 /// final activations ([rows x output_width], row-major) and `error` is
 /// null; the span aliases worker-owned memory and is only valid during
 /// the call -- copy it out to keep it.  On failure `output` is empty and
-/// `error` carries the exception.  Callbacks run on the worker thread
-/// that served the batch and must not block it for long; an exception
-/// escaping the callback is swallowed by the worker (it must never take
-/// down the pool), so handle errors inside.
+/// `error` carries the exception.  Callbacks run on the thread that
+/// finished the request (a serving worker, an abort sweep, a connection
+/// reader) and must not block it for long.  Every backend runs them
+/// through deliver() below, the one place an escaping exception is
+/// swallowed (it must never take down that thread), so handle errors
+/// inside.
 using DoneFn = std::function<void(std::span<const float> output,
                                   const RequestTiming& timing,
                                   std::exception_ptr error)>;
+
+/// Run `done` (if set) with a request's outcome.  An exception escaping
+/// the callback is the caller's bug and is swallowed here.
+inline void deliver(const DoneFn& done, std::span<const float> output,
+                    const RequestTiming& timing,
+                    std::exception_ptr error) noexcept {
+  if (!done) return;
+  try {
+    done(output, timing, std::move(error));
+  } catch (...) {
+  }
+}
 
 /// One inference request: `rows` rows of model-input features for
 /// `model`, row-major in `input`.  Construct through the factories --
@@ -228,19 +247,13 @@ class SubmitResult {
 
   static SubmitResult rejected() { return {}; }
 
-  static SubmitResult admitted_callback(RequestId id) {
+  /// An admitted request; `future` is empty for callback completion.
+  static SubmitResult admitted(RequestId id,
+                               std::future<std::vector<float>> future) {
     SubmitResult r;
     r.admitted_ = true;
     r.request_id_ = id;
-    return r;
-  }
-
-  static SubmitResult admitted_future(std::future<std::vector<float>> f,
-                                      RequestId id) {
-    SubmitResult r;
-    r.admitted_ = true;
-    r.request_id_ = id;
-    r.future_ = std::move(f);
+    r.future_ = std::move(future);
     return r;
   }
 
@@ -248,6 +261,36 @@ class SubmitResult {
   bool admitted_ = false;
   RequestId request_id_ = 0;
   std::future<std::vector<float>> future_{};
+};
+
+/// The completion adapter every backend builds from SubmitOptions::done:
+/// `done` is the callback the backend finishes the request through (via
+/// deliver()) -- the caller's own, or, when the caller asked for a
+/// future, one that fulfils a promise -- and admitted() is the
+/// SubmitResult carrying that promise's future.  With it no backend
+/// forks on the completion style.
+struct Completion {
+  explicit Completion(DoneFn callback) : done(std::move(callback)) {
+    if (done) return;
+    auto promise = std::make_shared<std::promise<std::vector<float>>>();
+    future = promise->get_future();
+    done = [promise = std::move(promise)](std::span<const float> y,
+                                          const RequestTiming&,
+                                          std::exception_ptr err) {
+      if (err) {
+        promise->set_exception(std::move(err));
+      } else {
+        promise->set_value(std::vector<float>(y.begin(), y.end()));
+      }
+    };
+  }
+
+  SubmitResult admitted(RequestId id) {
+    return SubmitResult::admitted(id, std::move(future));
+  }
+
+  DoneFn done;
+  std::future<std::vector<float>> future;  ///< empty for a callback
 };
 
 }  // namespace radix::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <span>
 #include <utility>
 
@@ -44,22 +43,6 @@ std::size_t untried_shard(const std::vector<std::size_t>& healthy,
     if (((tried >> s) & 1u) == 0) return s;
   }
   return kNoShard;
-}
-
-// Completion adapter for future-completion submissions (the router
-// terminates completions itself now -- the shard engines only ever see
-// callback submissions through the failover capsule).
-DoneFn promise_done(
-    std::shared_ptr<std::promise<std::vector<float>>> promise) {
-  return [promise = std::move(promise)](std::span<const float> y,
-                                        const RequestTiming&,
-                                        std::exception_ptr err) {
-    if (err) {
-      promise->set_exception(err);
-    } else {
-      promise->set_value(std::vector<float>(y.begin(), y.end()));
-    }
-  };
 }
 
 }  // namespace
@@ -305,7 +288,8 @@ void ShardRouter::restart_shard(std::size_t index) {
   // across any number of restarts.
   {
     std::scoped_lock stats_lock(carried_mutex_);
-    const std::size_t ids = log_.rows().size();
+    // Models added while the shard was down never reached it.
+    const std::size_t ids = f->engines[index]->num_ids();
     if (carried_.size() < ids) carried_.resize(ids);
     for (ModelId m = 0; m < ids; ++m) {
       carried_[m].merge(f->engines[index]->stats(m));
@@ -475,21 +459,12 @@ SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
   } else {
     relay->input = req.input;
   }
-  const bool callback = static_cast<bool>(opts.done);
-  std::future<std::vector<float>> future;
-  if (callback) {
-    relay->done = std::move(opts.done);
-  } else {
-    auto promise = std::make_shared<std::promise<std::vector<float>>>();
-    future = promise->get_future();
-    relay->done = promise_done(std::move(promise));
-  }
+  Completion completion(std::move(opts.done));
+  relay->done = std::move(completion.done);
   std::size_t index = pick_shard(*f, req.model);
   while (index != kNoShard) {
     if (dispatch(*f, index, relay, opts.admission)) {
-      return callback
-                 ? SubmitResult::admitted_callback(relay->id)
-                 : SubmitResult::admitted_future(std::move(future), relay->id);
+      return completion.admitted(relay->id);
     }
     // Rejected.  A queue still full when the admission budget ran out
     // is the chosen shard's legitimate answer -- deliver it.  A shard
@@ -509,28 +484,35 @@ ServeStats ShardRouter::stats(ModelId model) const {
     if (model < carried_.size()) merged = carried_[model];
   }
   // Down shards still answer stats (their collectors outlive the
-  // abort); only a restart moves their numbers into carried_.
+  // abort); only a restart moves their numbers into carried_.  A shard
+  // that went down before `model` was added never had it.
   const auto f = fleet();
-  for (const auto& engine : f->engines) merged.merge(engine->stats(model));
+  bool known = false;
+  for (const auto& engine : f->engines) {
+    if (model >= engine->num_ids()) continue;
+    merged.merge(engine->stats(model));
+    known = true;
+  }
+  RADIX_REQUIRE(known, "ShardRouter: unknown model id");
   return merged;
 }
 
 ServeStats ShardRouter::class_stats(Priority p) const {
   RADIX_REQUIRE(static_cast<std::size_t>(p) < kNumPriorities,
                 "ShardRouter: invalid priority class");
-  ServeStats merged;
+  // Derived: one merge of stats(m) -- every shard's ledger plus the
+  // carried restart history -- over the log rows of class `p` (the log
+  // keeps a removed model's QoS).
+  std::vector<ModelId> ids;
   {
-    // Carried per-model histories are folded in by class membership
-    // (the log keeps a removed model's QoS).  Lock order matches
-    // restart_shard: admin before carried.
-    std::scoped_lock lock(admin_mutex_, carried_mutex_);
+    std::scoped_lock lock(admin_mutex_);
     const auto& rows = log_.rows();
-    for (ModelId m = 0; m < rows.size() && m < carried_.size(); ++m) {
-      if (rows[m].qos.priority == p) merged.merge(carried_[m]);
+    for (ModelId m = 0; m < rows.size(); ++m) {
+      if (rows[m].qos.priority == p) ids.push_back(m);
     }
   }
-  const auto f = fleet();
-  for (const auto& engine : f->engines) merged.merge(engine->class_stats(p));
+  ServeStats merged;
+  for (const ModelId m : ids) merged.merge(stats(m));
   return merged;
 }
 

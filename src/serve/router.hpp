@@ -229,10 +229,11 @@ class ShardRouter final : public Backend {
   /// first shard aborted them.
   std::uint64_t failovers() const noexcept;
 
-  /// Aggregate per-class counters across shards (histograms merged
-  /// bucket-wise), including the carried history of since-restarted
-  /// shards -- the class-level companion of stats().  The overload
-  /// harness reads interactive vs background shed counts through this.
+  /// Per-class counters: the merge of stats(m) (histograms bucket-wise,
+  /// carried history of since-restarted shards included) over every
+  /// model the log files under class `p`, removed ones too.  The
+  /// overload harness reads interactive vs background shed counts
+  /// through this.
   ServeStats class_stats(Priority p) const;
 
   /// Merged fleet view for the export surface: every live shard's

@@ -1,7 +1,10 @@
 // Stats surface of the serving engine.
 //
-// Per model -- and, aggregated by the engine, per QoS class -- the
-// engine tracks the Graph-Challenge throughput metric
+// Per model the engine keeps one ledger (a StatsCollector), recorded
+// once per request outcome and once per served batch; a per-QoS-class
+// view is not recorded at all but merged from the ledgers of the
+// class's models (Engine::class_stats).  A ledger tracks the
+// Graph-Challenge throughput metric
 // (edges/second over worker busy time), how well the micro-batcher is
 // coalescing (a power-of-two batch-row histogram), and two latency
 // distributions: queue wait (enqueue -> claimed by a worker, i.e. the
@@ -20,8 +23,9 @@
 // alongside the derived scalars, and ServeStats::merge folds another
 // snapshot in bucket-wise (Log2Histogram::merge) and recomputes the
 // derived fields -- so a composite backend (serve/router.hpp) can
-// aggregate per-shard views into one whose percentiles are exactly
-// those of a histogram built from the pooled samples.
+// aggregate per-shard views -- and per-class views merge per-model
+// ones -- into one whose percentiles are exactly those of a histogram
+// built from the pooled samples.
 #pragma once
 
 #include <array>

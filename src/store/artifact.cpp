@@ -421,6 +421,14 @@ infer::SparseDnn ArtifactReader::instantiate() const {
   for (std::uint32_t k = 0; k < layer_count_; ++k) {
     const index_t rows = dims[2 * k];
     const index_t cols = dims[2 * k + 1];
+    if (rows > kMaxLayerWidth || cols > kMaxLayerWidth) {
+      throw FormatError(path_ + ": layer " + std::to_string(k) +
+                        " is wider than the format allows");
+    }
+    if (k > 0 && rows != dims[2 * k - 1]) {
+      throw FormatError(path_ + ": layer " + std::to_string(k) +
+                        " rows do not match the previous layer's cols");
+    }
     const SectionEntry& rp = require(SectionKind::kRowPtr, k);
     const SectionEntry& ci = require(SectionKind::kColIdx, k);
     const SectionEntry& va = require(SectionKind::kValues, k);

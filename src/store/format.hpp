@@ -52,9 +52,11 @@
 //
 // Integrity: readers verify magic, version, the header hash, the
 // file_size field against the actual size, section bounds/alignment,
-// and every payload hash -- eagerly, before any data is interpreted.
-// Violations throw the typed errors below (all IoError subclasses), so
-// a serving daemon can distinguish "file corrupt" from "file missing".
+// and every payload hash -- eagerly, before any data is interpreted;
+// instantiate() then checks the layer shapes (chained, at most
+// kMaxLayerWidth wide) and the CSR invariants.  Violations throw the
+// typed errors below (all IoError subclasses), so a serving daemon can
+// distinguish "file corrupt" from "file missing".
 // Writers commit via write-to-temp + fsync + atomic rename, so a crash
 // mid-save never leaves a half-written artifact under the final name.
 #pragma once
@@ -99,6 +101,10 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::uint64_t kSectionAlign = 64;
 inline constexpr std::uint32_t kFlagSpecOnly = 1u << 0;
 inline constexpr std::uint32_t kNoLayer = 0xffffffffu;
+/// Widest layer (rows or cols) a reader accepts: 256x the largest
+/// Graph-Challenge width (65536).  A declared width is what the forward
+/// pass allocates per batch row, so a corrupt one must not reach it.
+inline constexpr std::uint32_t kMaxLayerWidth = 1u << 24;
 
 enum class SectionKind : std::uint32_t {
   kMeta = 1,          // name + clamp + layer count

@@ -9,15 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
+#include "serve/router.hpp"
 #include "serve/stats.hpp"
 #include "support/random.hpp"
 
@@ -229,6 +232,24 @@ TEST(ServeEngine, ZeroRowSubmitCompletesImmediately) {
   EXPECT_TRUE(fut.get().empty());
 }
 
+TEST(ServeEngine, ZeroRowSubmitIsRecordedOnce) {
+  const auto m = make_model(1024, 2, 5);
+  Engine engine({.workers = 1});
+  ShardRouter router({.shards = 2, .engine = {.workers = 1}});
+  for (Backend* backend : {static_cast<Backend*>(&engine),
+                           static_cast<Backend*>(&router)}) {
+    const ModelId id = backend == &engine ? engine.add_model(m.dnn)
+                                          : router.add_model(m.dnn);
+    EXPECT_TRUE(
+        backend->submit(InferenceRequest::borrowed(id, {}, 0)).get().empty());
+    const ServeStats s = backend->stats(id);
+    EXPECT_EQ(s.requests, 1u);
+    EXPECT_EQ(s.rows, 0u);
+    EXPECT_EQ(s.batches, 0u);
+    EXPECT_EQ(s.errors, 0u);
+  }
+}
+
 TEST(ServeEngine, ClientBindsBackendAndModel) {
   const auto m = make_model(1024, 2, 14);
   Engine engine({.workers = 1});
@@ -317,23 +338,93 @@ TEST(ServeEngine, ShutdownDrainsEveryAcceptedRequest) {
 
 TEST(ServeEngine, ThrowingCallbackDoesNotKillWorkers) {
   const auto m = make_model(1024, 2, 10);
-  Engine engine({.workers = 1, .max_delay = 0us});
+  Engine engine({.workers = 1, .max_delay = 0us, .shed_capacity = 2});
   const auto id = engine.add_model(m.dnn);
+  const auto bg =
+      engine.add_model(m.dnn, "bg", {.priority = Priority::kBackground});
   Rng irng(23);
   const auto x = gc::synthetic_input(1, m.width, 0.4, irng);
 
+  std::atomic<int> thrown{0};
+  const DoneFn throwing = [&](std::span<const float>, const RequestTiming&,
+                              std::exception_ptr) {
+    thrown.fetch_add(1);
+    throw std::runtime_error("client bug");
+  };
+  const auto submit = [&](ModelId model, SubmitOptions opts) {
+    ASSERT_TRUE(
+        engine.submit(InferenceRequest::borrowed(model, x, 1), std::move(opts))
+            .admitted());
+  };
+
+  // Served.
   std::promise<void> threw;
-  (void)engine.submit(InferenceRequest::borrowed(id, x, 1),
-                      {.done = [&](std::span<const float>,
-                                   const RequestTiming&, std::exception_ptr) {
-                        threw.set_value();
-                        throw std::runtime_error("client bug");
-                      }});
+  submit(id, {.done = [&](std::span<const float>, const RequestTiming&,
+                          std::exception_ptr) {
+                threw.set_value();
+                throw std::runtime_error("client bug");
+              }});
   threw.get_future().wait();
   // The worker must have survived the escaping exception and still
   // serve subsequent requests.
   auto fut = engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future();
   EXPECT_EQ(fut.get(), direct_forward(*m.dnn, x, 1));
+
+  // Expired and shed, with the worker held inside a throwing callback:
+  // a spent deadline and one more background request fill the queue to
+  // shed_capacity, and the batch-class submit sheds the newest
+  // background one -- its callback throws on this thread, inside submit.
+  std::promise<void> entered;
+  std::promise<void> release;
+  submit(id, {.done = [&, released = release.get_future().share()](
+                          std::span<const float>, const RequestTiming&,
+                          std::exception_ptr) {
+                entered.set_value();
+                released.wait();
+                throw std::runtime_error("client bug");
+              }});
+  entered.get_future().wait();
+  submit(bg, {.deadline = -1us, .done = throwing});
+  submit(bg, {.done = throwing});
+  submit(id, {.done = throwing});
+  EXPECT_EQ(thrown.load(), 1) << "the shed victim completed inside submit";
+  release.set_value();
+  engine.quiesce();
+  EXPECT_EQ(thrown.load(), 3) << "expired and served";
+  fut = engine.submit(InferenceRequest::borrowed(id, x, 1)).take_future();
+  EXPECT_EQ(fut.get(), direct_forward(*m.dnn, x, 1));
+
+  // Aborted: orphans queued behind a held worker; each throws inside
+  // the abort sweep, and the first one lets the held worker go.
+  std::promise<void> entered2;
+  std::promise<void> release2;
+  auto released2 = release2.get_future().share();
+  std::once_flag once;
+  submit(id, {.done = [&](std::span<const float>, const RequestTiming&,
+                          std::exception_ptr) {
+                entered2.set_value();
+                released2.wait();
+              }});
+  entered2.get_future().wait();
+  for (int i = 0; i < 2; ++i) {
+    submit(bg, {.done = [&](std::span<const float> y, const RequestTiming& t,
+                            std::exception_ptr e) {
+                  std::call_once(once, [&] { release2.set_value(); });
+                  throwing(y, t, std::move(e));
+                }});
+  }
+  engine.abort();
+  EXPECT_EQ(thrown.load(), 5);
+
+  // One outcome per request on its model's ledger.
+  const ServeStats s = engine.stats(id);
+  EXPECT_EQ(s.requests, 6u);
+  EXPECT_EQ(s.errors, 0u);
+  const ServeStats b = engine.stats(bg);
+  EXPECT_EQ(b.requests, 4u);
+  EXPECT_EQ(b.errors, 4u);
+  EXPECT_EQ(b.shed, 1u);
+  EXPECT_EQ(b.expired, 1u);
 }
 
 TEST(ServeEngine, ConcurrentAddModelKeepsIdsConsistent) {

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -289,6 +290,64 @@ TEST(ServeNet, OutOfRangeDeadlinesAreClampedNotWrapped) {
                              {.deadline = std::chrono::microseconds::min()});
   ASSERT_TRUE(spent.admitted());
   EXPECT_THROW(spent.get(), serve::DeadlineExceededError);
+}
+
+TEST(ServeNet, ThrowingCallbackOnResultAndConnectionLoss) {
+  // The DoneFn contract over the wire: an exception escaping a callback
+  // is swallowed by the connection's reader, on a result frame and on
+  // connection loss alike, and every request still completes once.
+  Rng irng(83);
+  const auto input = gc::synthetic_input(1, 1024, 0.4, irng);
+  std::atomic<int> results{0};
+  std::atomic<int> losses{0};
+  const serve::DoneFn throwing = [&](std::span<const float>,
+                                     const serve::RequestTiming&,
+                                     std::exception_ptr error) {
+    (error ? losses : results).fetch_add(1);
+    throw std::runtime_error("client bug");
+  };
+  {
+    Served s = engine_served();
+    RemoteBackend remote(s.server->port());
+    for (int i = 1; i <= 2; ++i) {
+      ASSERT_TRUE(remote
+                      .submit(serve::InferenceRequest::borrowed(0, input, 1),
+                              {.done = throwing})
+                      .admitted());
+      ASSERT_TRUE(eventually([&] { return results.load() == i; }));
+    }
+    EXPECT_EQ(remote.submit(serve::InferenceRequest::borrowed(0, input, 1))
+                  .get(),
+              direct_forward(*s.dnn, input, 1))
+        << "the reader survived the throwing callbacks";
+    EXPECT_EQ(remote.stats(0).requests, 3u);
+  }
+
+  // Connection loss: the worker holds the first request in an injected
+  // wait and the second queues behind it; then the server goes away.
+  FakeClock clock;
+  serve::FaultInjector hold({.added_latency = 1h});
+  Served s = engine_served(
+      {.workers = 1, .max_delay = 0us, .clock = &clock, .fault = &hold});
+  struct Release {
+    serve::FaultInjector& hold;
+    ~Release() { hold.cancel(); }  // lets the worker drain on teardown
+  } release{hold};
+  RemoteBackend remote(s.server->port());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(remote
+                    .submit(serve::InferenceRequest::borrowed(0, input, 1),
+                            {.done = throwing})
+                    .admitted());
+  }
+  s.server->stop();
+  ASSERT_TRUE(eventually([&] { return losses.load() == 2; }));
+  hold.cancel();
+  s.engine->quiesce();
+  EXPECT_EQ(s.engine->stats(0).requests, 2u);
+  EXPECT_EQ(losses.load(), 2);
+  EXPECT_EQ(results.load(), 2);
+  EXPECT_FALSE(remote.accepting());
 }
 
 TEST(ServeNet, UnknownModelFailsTheSubmitCall) {

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +23,7 @@
 
 #include "radixnet/graph_challenge.hpp"
 #include "serve/client.hpp"
+#include "serve/fault.hpp"
 #include "support/random.hpp"
 #include "support/thread.hpp"
 
@@ -499,6 +502,215 @@ TEST(ShardRouter, RestartReplaysRegistryAndCarriesStats) {
   EXPECT_EQ(router.stats(b).requests, before + 10);
   EXPECT_FALSE(router.submit(InferenceRequest::borrowed(a, x, 1)).admitted())
       << "a removed model must stay removed across restarts";
+}
+
+// One completion callback that holds the worker running it until
+// open(): the submissions after it queue up behind it.
+struct Gate {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::once_flag once;
+
+  DoneFn hold() {
+    return [this](std::span<const float>, const RequestTiming&,
+                  std::exception_ptr) {
+      entered.set_value();
+      released.wait();
+    };
+  }
+  void open() {
+    std::call_once(once, [this] { release.set_value(); });
+  }
+};
+
+// Drives `b` through every outcome a request can have while all of its
+// traffic lands on one single-worker engine with shed_capacity 3 and a
+// failing FaultInjector: served and failed, shed, expired, and
+// orphaned by `kill`.  `ids` are an interactive, a batch and a
+// background model.  Returns {requests submitted, injected failures of
+// the sequential phase}.
+std::pair<std::size_t, std::size_t> drive_every_outcome(
+    Backend& b, const std::array<ModelId, 3>& ids, const std::vector<float>& x,
+    const std::function<void()>& kill) {
+  std::size_t submitted = 0;
+  std::vector<std::future<std::vector<float>>> futures;
+  const auto submit = [&](ModelId id, SubmitOptions opts = {}) {
+    auto res = b.submit(InferenceRequest::borrowed(id, x, 1), std::move(opts));
+    ASSERT_TRUE(res.admitted());
+    ++submitted;
+    if (res.has_future()) futures.push_back(res.take_future());
+  };
+  const auto settle = [&] {
+    std::size_t failed = 0;
+    for (auto& f : futures) {
+      try {
+        (void)f.get();
+      } catch (const FaultInjectedError&) {
+        ++failed;
+      } catch (const DeadlineExceededError&) {
+      }
+    }
+    futures.clear();
+    return failed;
+  };
+
+  // Served and failed: one request at a time, so the fault draws (one
+  // per batch) are the same on every run.
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < 12; ++i) {
+    submit(ids[i % 3]);
+    failed += settle();
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, 12u);
+
+  // Expired and shed: with the worker held, a spent deadline and two
+  // more background requests fill the queue to shed_capacity, and the
+  // batch-class submit sheds the newest background one.
+  Gate held;
+  submit(ids[0], {.done = held.hold()});
+  held.entered.get_future().wait();
+  submit(ids[2], {.deadline = -1us});
+  submit(ids[2]);
+  submit(ids[2]);
+  submit(ids[1]);
+  held.open();
+  (void)settle();
+
+  // Orphans: queued behind a held worker when `kill` runs.  Whichever
+  // completes first lets the held worker go, so the kill can join it.
+  Gate doomed;
+  submit(ids[0], {.done = doomed.hold()});
+  doomed.entered.get_future().wait();
+  std::atomic<int> orphans{0};
+  for (const ModelId id : ids) {
+    submit(id, {.done = [&](std::span<const float>, const RequestTiming&,
+                            std::exception_ptr) {
+                  orphans.fetch_add(1);
+                  doomed.open();
+                }});
+  }
+  kill();
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (orphans.load() < 3 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(100us);
+  }
+  EXPECT_EQ(orphans.load(), 3);
+  return {submitted, failed};
+}
+
+// Every counter and every histogram grid of class_stats(p) equals the
+// merge of stats(id) over the class's models; returns the sum over all
+// classes.
+template <typename B>
+ServeStats expect_class_views_merge_model_views(
+    const B& b, const std::vector<std::pair<ModelId, Priority>>& models) {
+  ServeStats all;
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    const auto p = static_cast<Priority>(c);
+    SCOPED_TRACE(to_string(p));
+    ServeStats want;
+    for (const auto& [id, q] : models) {
+      if (q == p) want.merge(b.stats(id));
+    }
+    const ServeStats got = b.class_stats(p);
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.rows, want.rows);
+    EXPECT_EQ(got.batches, want.batches);
+    EXPECT_EQ(got.edges, want.edges);
+    EXPECT_EQ(got.errors, want.errors);
+    EXPECT_EQ(got.shed, want.shed);
+    EXPECT_EQ(got.expired, want.expired);
+    EXPECT_EQ(got.busy_seconds, want.busy_seconds);
+    EXPECT_EQ(got.batch_rows_hist.raw_counts(),
+              want.batch_rows_hist.raw_counts());
+    EXPECT_EQ(got.queue_wait_hist.raw_counts(),
+              want.queue_wait_hist.raw_counts());
+    EXPECT_EQ(got.e2e_hist.raw_counts(), want.e2e_hist.raw_counts());
+    all.merge(got);
+  }
+  return all;
+}
+
+TEST(ServeLedger, ClassViewIsTheMergeOfModelViewsEngine) {
+  const auto dnn = make_dnn(1024, 2, 140);
+  Rng irng(141);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  FaultInjector faults({.fail_probability = 0.5, .seed = 142});
+  Engine engine({.workers = 1,
+                 .max_delay = 0us,
+                 .shed_capacity = 3,
+                 .fault = &faults});
+  const std::array<ModelId, 3> ids = {
+      engine.add_model(dnn, "ia", {.priority = Priority::kInteractive}),
+      engine.add_model(dnn, "bt", {.priority = Priority::kBatch}),
+      engine.add_model(dnn, "bg", {.priority = Priority::kBackground})};
+
+  const auto [submitted, failed] =
+      drive_every_outcome(engine, ids, x, [&] { engine.abort(); });
+
+  const ServeStats all = expect_class_views_merge_model_views(
+      engine, {{ids[0], Priority::kInteractive},
+               {ids[1], Priority::kBatch},
+               {ids[2], Priority::kBackground}});
+  EXPECT_EQ(all.requests, submitted) << "one outcome per request";
+  EXPECT_EQ(all.shed, 1u);
+  EXPECT_EQ(all.expired, 1u);
+  EXPECT_GE(all.errors, all.shed + all.expired + failed + 3)
+      << "three orphans complete as errors";
+}
+
+TEST(ServeLedger, ClassViewIsTheMergeOfModelViewsRouter) {
+  const auto dnn = make_dnn(1024, 2, 143);
+  Rng irng(144);
+  const auto x = gc::synthetic_input(1, 1024, 0.4, irng);
+  FaultInjector faults({.fail_probability = 0.5, .seed = 145});
+  ShardRouter router({.shards = 2,
+                      .engine = {.workers = 1,
+                                 .max_delay = 0us,
+                                 .shed_capacity = 3,
+                                 .fault = &faults}});
+  const std::array<ModelId, 3> ids = {
+      router.add_model(dnn, "ia", {.priority = Priority::kInteractive}),
+      router.add_model(dnn, "bt", {.priority = Priority::kBatch}),
+      router.add_model(dnn, "bg", {.priority = Priority::kBackground})};
+
+  // Shard 1 out of rotation: all traffic lands on shard 0 until the
+  // kill, whose orphans fail over to shard 1.
+  router.drain_shard(1);
+  auto [submitted, failed] = drive_every_outcome(router, ids, x, [&] {
+    router.restart_shard(1);
+    router.kill_shard(0);
+  });
+  EXPECT_EQ(router.failovers(), 3u);
+
+  // A model added while shard 0 is down never reaches it; the restart
+  // replays it, and carries the dead engine's history over.
+  const ModelId late =
+      router.add_model(dnn, "late", {.priority = Priority::kInteractive});
+  EXPECT_EQ(router.class_stats(Priority::kInteractive).requests,
+            router.stats(ids[0]).requests);
+  EXPECT_NO_THROW(router.restart_shard(0));
+  for (const ModelId id : {ids[0], ids[1], ids[2], late, late, late}) {
+    try {
+      (void)router.submit(InferenceRequest::borrowed(id, x, 1)).get();
+    } catch (const FaultInjectedError&) {
+    }
+    ++submitted;
+  }
+
+  const ServeStats all = expect_class_views_merge_model_views(
+      router, {{ids[0], Priority::kInteractive},
+               {ids[1], Priority::kBatch},
+               {ids[2], Priority::kBackground},
+               {late, Priority::kInteractive}});
+  // A failed-over request is on two ledgers: aborted on shard 0, then
+  // served on shard 1.
+  EXPECT_EQ(all.requests, submitted + router.failovers());
+  EXPECT_EQ(all.shed, 1u);
+  EXPECT_EQ(all.expired, 1u);
+  EXPECT_GE(all.errors, all.shed + all.expired + failed + 3);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "sparse/spmm.hpp"
 #include "support/error.hpp"
@@ -42,7 +43,7 @@ SparseDnn::SparseDnn(SparseDnn&& other) noexcept
       clamp_(other.clamp_),
       layer_uniform_(std::move(other.layer_uniform_)),
       uniform_weight_(std::move(other.uniform_weight_)),
-      transposed_(std::move(other.transposed_)) {}
+      gather_(std::move(other.gather_)) {}
 
 SparseDnn& SparseDnn::operator=(SparseDnn&& other) noexcept {
   if (this == &other) return *this;
@@ -53,7 +54,7 @@ SparseDnn& SparseDnn::operator=(SparseDnn&& other) noexcept {
   clamp_ = other.clamp_;
   layer_uniform_ = std::move(other.layer_uniform_);
   uniform_weight_ = std::move(other.uniform_weight_);
-  transposed_ = std::move(other.transposed_);
+  gather_ = std::move(other.gather_);
   return *this;
 }
 
@@ -65,7 +66,7 @@ void SparseDnn::validate_and_index() {
     RADIX_REQUIRE_DIM(views_[i].cols() == views_[i + 1].rows(),
                       "SparseDnn: layer shapes do not chain");
   }
-  transposed_.resize(views_.size());
+  gather_.resize(views_.size());
   layer_uniform_.reserve(views_.size());
   uniform_weight_.reserve(views_.size());
   for (const auto& l : views_) {
@@ -96,19 +97,28 @@ index_t SparseDnn::max_width() const noexcept {
   return w;
 }
 
-const Csr<float>& SparseDnn::transposed(std::size_t k) const {
-  // The lock only serializes cache fills; once built a transpose is
+const SparseDnn::GatherLayer& SparseDnn::gather(std::size_t k) const {
+  // The lock only serializes cache fills; once built an entry is
   // immutable, so returning the reference after unlock is safe.
-  std::scoped_lock lock(transpose_mutex_);
-  auto& slot = transposed_[k];
-  if (!slot) slot = std::make_unique<Csr<float>>(views_[k].transpose());
+  std::scoped_lock lock(gather_mutex_);
+  auto& slot = gather_[k];
+  if (!slot) {
+    std::optional<RadixWindows> win;
+    if (layer_uniform_[k] != 0) win = find_radix_windows(views_[k]);
+    slot = win ? std::make_unique<const GatherLayer>(std::move(*win))
+               : std::make_unique<const GatherLayer>(views_[k].transpose());
+  }
   return *slot;
 }
 
+bool SparseDnn::layer_implicit(std::size_t k) const {
+  return std::holds_alternative<RadixWindows>(gather(k));
+}
+
 void SparseDnn::prewarm(const WorkspaceHint& hint) const {
-  // Building via transposed() keeps the fill under the cache mutex, so
+  // Building via gather() keeps the fill under the cache mutex, so
   // prewarming may race concurrent forward calls safely.
-  for (std::size_t k = 0; k < views_.size(); ++k) (void)transposed(k);
+  for (std::size_t k = 0; k < views_.size(); ++k) (void)gather(k);
   if (hint.workspace != nullptr) {
     hint.workspace->reserve(hint.max_batch, max_width());
     // forward() reserves the dispatch trace lazily; doing it here keeps
@@ -165,21 +175,26 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
         .out = k + 1 == views_.size() ? PanelLayout::kRowMajor
                                       : PanelLayout::kTiled};
     float* dst = workspace.panel(out_panel);
-    if (layer_uniform_[k] != 0) {
-      nz = choice == Kernel::kScatter
-               ? spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
-                                              uniform_weight_[k], dst,
-                                              biases_[k], clamp_, layouts)
-               : spmm_dense_csrT_fused_uniform(cur, batch, w.rows(),
-                                               transposed(k),
-                                               uniform_weight_[k], dst,
-                                               biases_[k], clamp_, layouts);
+    const bool uniform = layer_uniform_[k] != 0;
+    if (choice == Kernel::kScatter) {
+      nz = uniform ? spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
+                                                  uniform_weight_[k], dst,
+                                                  biases_[k], clamp_, layouts)
+                   : spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
+                                          biases_[k], clamp_, layouts);
+    } else if (const GatherLayer& g = gather(k);
+               const auto* win = std::get_if<RadixWindows>(&g)) {
+      nz = spmm_dense_windows_fused_uniform(cur, batch, w.rows(), *win,
+                                            uniform_weight_[k], dst,
+                                            biases_[k], clamp_, layouts);
     } else {
-      nz = choice == Kernel::kScatter
-               ? spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
-                                      biases_[k], clamp_, layouts)
-               : spmm_dense_csrT_fused(cur, batch, w.rows(), transposed(k),
-                                       dst, biases_[k], clamp_, layouts);
+      const Csr<float>& wt = std::get<Csr<float>>(g);
+      nz = uniform ? spmm_dense_csrT_fused_uniform(cur, batch, w.rows(), wt,
+                                                   uniform_weight_[k], dst,
+                                                   biases_[k], clamp_,
+                                                   layouts)
+                   : spmm_dense_csrT_fused(cur, batch, w.rows(), wt, dst,
+                                           biases_[k], clamp_, layouts);
     }
     const auto layer_end = std::chrono::steady_clock::now();
     workspace.dispatch_.push_back(

@@ -20,15 +20,25 @@
 //     skips a layer row's weights outright whenever the activation
 //     feeding it is zero (post-ReLU activations are mostly zero deep in
 //     a challenge stack);
-//   * denser inputs -> row-*gather* arm over a transposed copy of the
-//     layer (built lazily on first use, then cached), which streams the
-//     weights sequentially and accumulates each output in a register
-//     instead of scattering read-modify-write traffic.
+//   * denser inputs -> row-*gather* arm, which accumulates each output
+//     in registers over its inputs instead of scattering
+//     read-modify-write traffic.  Where the gather arm finds a layer's
+//     inputs is decided once per layer, on first use (or in prewarm),
+//     and cached:
+//       - an *implicit* layer -- uniform weights, and every output's
+//         inputs exactly one eq. (1) window (sparse/radix_windows.hpp):
+//         spec-built RadiX-Nets and the shuffled Graph-Challenge
+//         networks -- keeps one start index per output, and the kernel
+//         computes the inputs instead of loading them;
+//       - every other layer (non-uniform weights, the D > 1 Kronecker
+//         stage on a partial window, X-Nets, random CSR) keeps a
+//         transposed copy W^T and streams its column indices.
+//     Both record Kernel::kGather and are bit-identical.
 //
 // Activations live in a caller-provided InferenceWorkspace: two
 // ping-pong panels sized once to batch x max_layer_width, so a forward
 // pass performs zero heap allocations and never copies the input batch
-// in steady state (the first pass may build transposed layers).
+// in steady state (the first pass may build the gather cache).
 //
 // Panel layout is fixed by a layer's position in the stack, not by an
 // option (PanelLayout, sparse/spmm.hpp):
@@ -44,7 +54,7 @@
 // A depth-1 stack is row-major in and out.  Layout changes addresses
 // only: results are bit-identical to an all-row-major pass.
 // Concurrent forward calls on one SparseDnn instance are safe as long
-// as each caller brings its own workspace (the lazy transpose cache is
+// as each caller brings its own workspace (the lazy gather cache is
 // mutex-guarded).
 //
 // Layer storage
@@ -56,8 +66,8 @@
 // (store/artifact.hpp): the view constructor takes a
 // shared_ptr<const void> keep-alive that pins the backing memory for
 // the engine's lifetime.  Borrowed layers are never copied -- the fused
-// kernels stream the mapped arrays directly; only derived structures
-// (the lazy gather-arm transposes) are materialized on the heap.
+// kernels stream the mapped arrays directly; only the gather cache (a
+// window table or a transpose per layer) is materialized on the heap.
 // SparseDnn is move-only: views into owned layers stay valid across
 // moves (vector heap buffers are stable) but would dangle in a copy.
 //
@@ -69,11 +79,13 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "infer/workspace.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
+#include "sparse/radix_windows.hpp"
 
 namespace radix::infer {
 
@@ -88,9 +100,9 @@ inline constexpr double kGatherDensityThreshold = 0.25;
 /// forward call (see prewarm below).
 struct WorkspaceHint {
   /// Largest batch (rows) the caller expects to run; used to size the
-  /// workspace panels.  0 skips panel sizing (transposes only).
+  /// workspace panels.  0 skips panel sizing (gather cache only).
   index_t max_batch = 0;
-  /// Workspace to pre-size; may be null when only the shared transpose
+  /// Workspace to pre-size; may be null when only the shared gather
   /// cache should be built (e.g. worker workspaces live elsewhere).
   InferenceWorkspace* workspace = nullptr;
 };
@@ -150,8 +162,10 @@ class SparseDnn {
 
   /// Pay every one-time cost up front so the *first* forward call is
   /// already in the zero-allocation steady state: eagerly builds the
-  /// lazily cached transposed layers (the gather arm's backing store,
-  /// shared by all workspaces), and, when the hint carries a workspace,
+  /// gather cache (shared by all workspaces: a window table for each
+  /// implicit layer, found in one pass over the layer's CSR, and a
+  /// transposed copy for every other layer), and, when the hint carries
+  /// a workspace,
   /// sizes its panels for hint.max_batch rows and reserves its dispatch
   /// trace.  Serving engines call this from model registration so the
   /// first request never pays construction latency; thread-safe like
@@ -179,9 +193,18 @@ class SparseDnn {
   static std::vector<index_t> active_rows(std::span<const float> y,
                                           index_t batch, index_t width);
 
+  /// True when the gather arm computes layer k's inputs from eq. (1)
+  /// windows rather than reading a transposed copy (builds the layer's
+  /// gather cache entry if prewarm has not).
+  bool layer_implicit(std::size_t k) const;
+
  private:
+  // A layer's gather-arm input source: a window table (implicit layer)
+  // or the explicit transpose W^T.
+  using GatherLayer = std::variant<RadixWindows, Csr<float>>;
+
   void validate_and_index();
-  const Csr<float>& transposed(std::size_t k) const;
+  const GatherLayer& gather(std::size_t k) const;
 
   // Owned layers (empty when borrowing); views_ is the single source of
   // truth the hot path iterates -- one view per layer, pointing either
@@ -196,11 +219,11 @@ class SparseDnn {
   // load + multiply (spmm_dense_csr*_fused_uniform).
   std::vector<char> layer_uniform_;
   std::vector<float> uniform_weight_;
-  // Lazily built, cached transposes backing the gather arm; the mutex
+  // Lazily built, cached gather sources, one per layer; the mutex
   // serializes cache fills so concurrent forward calls on one instance
   // (each with its own workspace) stay safe.
-  mutable std::mutex transpose_mutex_;
-  mutable std::vector<std::unique_ptr<Csr<float>>> transposed_;
+  mutable std::mutex gather_mutex_;
+  mutable std::vector<std::unique_ptr<const GatherLayer>> gather_;
 };
 
 }  // namespace radix::infer

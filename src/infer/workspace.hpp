@@ -36,7 +36,7 @@ namespace radix::infer {
 enum class Kernel : std::uint8_t {
   kAuto,     ///< let the per-layer density heuristic decide
   kScatter,  ///< CSR scatter with zero-activation row skip
-  kGather,   ///< row-gather over the lazily transposed layer
+  kGather,   ///< row-gather over the layer's cached gather source
 };
 
 /// Per-layer record of the last forward pass's dispatch decisions.

@@ -185,17 +185,18 @@ void Server::WakeState::wake() {
   (void)!::write(fd, &one, sizeof(one));
 }
 
-void Server::WakeState::deliver(Connection& conn,
+bool Server::WakeState::deliver(Connection& conn,
                                 std::span<const std::uint8_t> frame) {
   {
     std::scoped_lock lock(conn.m);
     if (!conn.open) {
       orphaned.fetch_add(1);
-      return;
+      return false;
     }
     conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
   }
   wake();
+  return true;
 }
 
 void Server::WakeState::invalidate() {
@@ -290,6 +291,13 @@ std::uint64_t Server::connections_accepted() const noexcept {
 
 std::uint64_t Server::orphaned_responses() const noexcept {
   return wake_state_->orphaned.load();
+}
+
+Server::SubmitOutcomes Server::submit_outcomes() const noexcept {
+  return {.parsed = submits_parsed_.load(),
+          .acked = submits_acked_.load(),
+          .rejected = submits_rejected_.load(),
+          .orphaned = submits_orphaned_.load()};
 }
 
 void Server::wake() { wake_state_->wake(); }
@@ -408,6 +416,7 @@ bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
   }
   try {
     while (auto frame = try_parse_frame(conn->inbuf)) {
+      if (frame->type == MsgType::kSubmit) submits_parsed_.fetch_add(1);
       std::scoped_lock lock(mutex_);
       jobs_.push_back(Job{conn, std::move(*frame)});
       job_cv_.notify_one();
@@ -480,8 +489,12 @@ void Server::pool_loop() {
     try {
       execute(job.conn, job.frame);
     } catch (...) {
-      enqueue_error(job.conn, job.frame.correlation,
-                    classify_error(std::current_exception()));
+      const bool sent = enqueue_error(
+          job.conn, job.frame.correlation,
+          classify_error(std::current_exception()));
+      if (job.frame.type == MsgType::kSubmit) {
+        (sent ? submits_rejected_ : submits_orphaned_).fetch_add(1);
+      }
     }
   }
 }
@@ -670,22 +683,24 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
   WireWriter w(ack);
   w.u8(result.admitted() ? 1 : 0);
   w.u64(result.request_id());
-  enqueue_response(conn, MsgType::kSubmitAck, correlation, ack);
+  const bool sent = enqueue_response(conn, MsgType::kSubmitAck, correlation,
+                                     ack);
+  (sent ? submits_acked_ : submits_orphaned_).fetch_add(1);
 }
 
-void Server::enqueue_response(const std::shared_ptr<Connection>& conn,
+bool Server::enqueue_response(const std::shared_ptr<Connection>& conn,
                               MsgType type, std::uint64_t correlation,
                               std::span<const std::uint8_t> body) {
-  wake_state_->deliver(*conn, encode_frame(type, correlation, body));
+  return wake_state_->deliver(*conn, encode_frame(type, correlation, body));
 }
 
-void Server::enqueue_error(const std::shared_ptr<Connection>& conn,
+bool Server::enqueue_error(const std::shared_ptr<Connection>& conn,
                            std::uint64_t correlation, const WireError& error) {
   std::vector<std::uint8_t> body;
   WireWriter w(body);
   w.u8(static_cast<std::uint8_t>(error.kind));
   w.str(error.message);
-  enqueue_response(conn, MsgType::kError, correlation, body);
+  return enqueue_response(conn, MsgType::kError, correlation, body);
 }
 
 }  // namespace radix::net

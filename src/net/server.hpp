@@ -133,6 +133,21 @@ class Server {
   /// mid-request); the orphan-handling counter the tests pin.
   std::uint64_t orphaned_responses() const noexcept;
 
+  /// How the kSubmit frames the server parsed ended.  Each ends exactly
+  /// one way once its verb has run: its kSubmitAck was queued (acked),
+  /// a kError frame was queued because it could not be decoded or
+  /// submitted (rejected), or that answer was dropped because the
+  /// connection was gone (orphaned).  After stop(), parsed == acked +
+  /// rejected + orphaned.  (A kSubmit's kResult frame is counted, when
+  /// dropped, in orphaned_responses only.)
+  struct SubmitOutcomes {
+    std::uint64_t parsed = 0;
+    std::uint64_t acked = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t orphaned = 0;
+  };
+  SubmitOutcomes submit_outcomes() const noexcept;
+
  private:
   struct Connection;
   struct Job;
@@ -151,11 +166,11 @@ class Server {
   void execute_submit(const std::shared_ptr<Connection>& conn,
                       const Frame& frame);
 
-  /// Encode a frame and WakeState::deliver it.
-  void enqueue_response(const std::shared_ptr<Connection>& conn, MsgType type,
+  /// Encode a frame and WakeState::deliver it; false when dropped.
+  bool enqueue_response(const std::shared_ptr<Connection>& conn, MsgType type,
                         std::uint64_t correlation,
                         std::span<const std::uint8_t> body);
-  void enqueue_error(const std::shared_ptr<Connection>& conn,
+  bool enqueue_error(const std::shared_ptr<Connection>& conn,
                      std::uint64_t correlation, const WireError& error);
   void wake();
 
@@ -170,8 +185,8 @@ class Server {
     void wake();
     /// Append `frame` to `conn`'s output queue and wake the loop; a
     /// closed connection drops and counts it instead -- a frame is never
-    /// written to a dead (or recycled) fd.
-    void deliver(Connection& conn, std::span<const std::uint8_t> frame);
+    /// written to a dead (or recycled) fd.  False when dropped.
+    bool deliver(Connection& conn, std::span<const std::uint8_t> frame);
     void invalidate();
   };
 
@@ -186,6 +201,10 @@ class Server {
 
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> submits_parsed_{0};
+  std::atomic<std::uint64_t> submits_acked_{0};
+  std::atomic<std::uint64_t> submits_rejected_{0};
+  std::atomic<std::uint64_t> submits_orphaned_{0};
 
   std::mutex stop_mutex_;     // serializes stop() callers over the joins
   mutable std::mutex mutex_;  // connections map + job queue + stop cv

@@ -74,14 +74,14 @@ QosPolicy Engine::resolve_qos(QosPolicy qos) const {
 }
 
 void Engine::publish_locked(ModelId id, std::shared_ptr<const ModelState> st) {
-  const auto current = models_.load(std::memory_order_acquire);
+  const auto current = models_.load();
   auto next = std::make_shared<Registry>(*current);  // shallow slot copy
   if (id == next->size()) {
     next->push_back(std::move(st));
   } else {
     (*next)[id] = std::move(st);
   }
-  models_.store(std::move(next), std::memory_order_release);
+  models_.store(std::move(next));
 }
 
 ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
@@ -94,10 +94,10 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   st->input_width = st->dnn->input_width();
   st->output_width = st->dnn->output_width();
   st->stats = std::make_shared<StatsCollector>();
-  // Builds the shared transposed-layer cache once, up front, so the
-  // first served batch does not pay one-time construction latency.
-  // Worker workspaces stay lazy: their panels grow once per worker on
-  // first contact (growth-only, cheap next to a transpose build).
+  // Builds the shared gather cache once, up front, so the first served
+  // batch does not pay one-time construction latency.  Worker
+  // workspaces stay lazy: their panels grow once per worker on first
+  // contact (growth-only, cheap next to a gather-cache build).
   st->dnn->prewarm();
   // Registry publish and batcher queue creation must be one atomic
   // step: concurrent add_model calls interleaving between them would
@@ -105,7 +105,7 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
   // queue.  Lock order is models_mutex_ -> batcher monitor; no other
   // path nests the two.
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   st->name = detail::resolve_model_name(
       std::move(name), reg->size(),
       [&](const std::string& n) {
@@ -134,12 +134,12 @@ ModelId Engine::add_model(std::shared_ptr<const infer::SparseDnn> model,
 
 void Engine::remove_model(ModelId id) {
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   const auto& old = (*reg)[id];
   RADIX_REQUIRE(!old->retired, "Engine: model already removed");
   // Close admission for this model only, then serve out its backlog.
-  // Workers make progress without models_mutex_ (they read the atomic
+  // Workers make progress without models_mutex_ (they read the registry
   // snapshot), so holding it across the drain only serializes other
   // lifecycle calls -- exactly the intent.
   batcher_.retire_model(id);
@@ -156,11 +156,11 @@ void Engine::swap_model(ModelId id,
                         std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "Engine: model must not be null");
   // Prewarm BEFORE taking any lock or publishing: the first batch on
-  // the new version must not pay transpose construction, and the submit
-  // hot path must never wait on it.
+  // the new version must not pay gather-cache construction, and the
+  // submit hot path must never wait on it.
   dnn->prewarm();
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   const auto& old = (*reg)[id];
   RADIX_REQUIRE(!old->retired, "Engine: cannot swap a removed model");
@@ -183,7 +183,7 @@ ModelId Engine::add_tombstone() {
   st->stats = std::make_shared<StatsCollector>();
   st->retired = true;
   std::scoped_lock lock(models_mutex_);
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   const ModelId id = reg->size();
   st->name = "tombstone-" + std::to_string(id);
   const ModelId batcher_id = batcher_.add_model(QosPolicy{});
@@ -203,11 +203,11 @@ bool Engine::model_retired(ModelId id) const { return state(id)->retired; }
 void Engine::quiesce() { batcher_.quiesce(); }
 
 std::size_t Engine::num_ids() const {
-  return models_.load(std::memory_order_acquire)->size();
+  return models_.load()->size();
 }
 
 std::size_t Engine::num_models() const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   std::size_t live = 0;
   for (const auto& st : *reg) {
     if (!st->retired) ++live;
@@ -216,7 +216,7 @@ std::size_t Engine::num_models() const {
 }
 
 std::optional<ModelId> Engine::find_model(std::string_view name) const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   for (ModelId id = 0; id < reg->size(); ++id) {
     if (!(*reg)[id]->retired && (*reg)[id]->name == name) return id;
   }
@@ -226,7 +226,7 @@ std::optional<ModelId> Engine::find_model(std::string_view name) const {
 unsigned Engine::num_workers() const noexcept { return worker_count_; }
 
 std::shared_ptr<const Engine::ModelState> Engine::state(ModelId id) const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   RADIX_REQUIRE(id < reg->size(), "Engine: unknown model id");
   return (*reg)[id];
 }
@@ -247,8 +247,8 @@ QosPolicy Engine::model_policy(ModelId id) const {
 }
 
 SubmitResult Engine::submit(InferenceRequest req, SubmitOptions opts) {
-  // Lock-free id resolution: one atomic snapshot load, no registry
-  // mutex -- lifecycle publishes never stall the hot path.
+  // Id resolution off one snapshot load, no registry mutex --
+  // lifecycle publishes never stall the hot path.
   auto st = state(req.model);  // validates the id
   // A removed model is a known id whose service ended: rejection is a
   // value (like shutdown), not a caller bug.  The batcher's retired
@@ -437,7 +437,7 @@ ServeStats Engine::class_stats(Priority p) const {
   // Derived, never recorded twice: the bucket-wise merge of the ledgers
   // of the class's models, removed ones included.
   ServeStats merged;
-  for (const auto& st : *models_.load(std::memory_order_acquire)) {
+  for (const auto& st : *models_.load()) {
     if (st->priority == p) merged.merge(st->stats->snapshot());
   }
   return merged;
@@ -565,7 +565,7 @@ void Engine::worker_loop(std::size_t worker_index) {
 }
 
 std::size_t Engine::class_pending(Priority p) const {
-  const auto reg = models_.load(std::memory_order_acquire);
+  const auto reg = models_.load();
   std::size_t total = 0;
   for (ModelId id = 0; id < reg->size(); ++id) {
     const auto& st = (*reg)[id];

@@ -49,9 +49,10 @@
 //   * Each worker owns a persistent InferenceWorkspace and a growth-only
 //     batch staging buffer, so the steady-state serving path performs no
 //     heap allocation beyond the per-request future/callback plumbing.
-//   * add_model prewarms the model (SparseDnn::prewarm): the lazily
-//     transposed gather-arm layers are built once, up front and shared,
-//     so the first served request does not pay one-time construction.
+//   * add_model prewarms the model (SparseDnn::prewarm): the gather
+//     cache (window tables and transposes) is built once, up front and
+//     shared, so the first served request does not pay one-time
+//     construction.
 //   * Completion runs on the worker thread: callback completion
 //     (SubmitOptions::done) gets a zero-copy span into the batch output
 //     panel; future completion copies the request's rows out.  Batch
@@ -74,11 +75,11 @@
 //     AbortedError (so a router can resubmit them elsewhere), claimed
 //     batches still finish.
 //   * The model registry is copy-on-write: submit()/stats()/workers
-//     read an atomic<shared_ptr> snapshot without taking any lock, so
-//     the lifecycle calls -- add_model, remove_model, swap_model --
-//     publish under a mutation mutex without ever blocking the submit
-//     hot path.  swap_model prewarms the incoming version's transpose
-//     caches BEFORE publishing, so the first post-cutover batch pays no
+//     copy a shared_ptr snapshot (support/snapshot.hpp) and never wait
+//     on a lifecycle call -- add_model, remove_model, swap_model --
+//     which publishes under a mutation mutex without ever blocking the
+//     submit hot path.  swap_model prewarms the incoming version's
+//     gather caches BEFORE publishing, so the first post-cutover batch pays no
 //     one-time construction; a batch is always served whole by one
 //     version (workers resolve the snapshot once per claimed batch).
 //   * Time is injectable (EngineOptions::clock): tests drive the
@@ -107,6 +108,7 @@
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
 #include "serve/trace.hpp"
+#include "support/snapshot.hpp"
 #include "support/thread.hpp"
 
 namespace radix::serve {
@@ -189,7 +191,7 @@ class Engine final : public Backend {
   /// Cut `id` over to a new version of the model without a gap in
   /// service.  The new version must have the same input/output widths
   /// (queued requests were validated against them).  The incoming dnn
-  /// is prewarmed (transpose caches, see add_model) BEFORE the
+  /// is prewarmed (gather cache, see add_model) BEFORE the
   /// copy-on-write publish, and the publish never blocks submit:
   /// requests claimed after swap_model returns are served by the new
   /// version, batches claimed earlier finish on the version they
@@ -233,8 +235,8 @@ class Engine final : public Backend {
   /// The fully resolved QoS policy a model is served under.
   QosPolicy model_policy(ModelId id) const;
 
-  /// The resolved service class alone, read lock-free off the registry
-  /// snapshot (model_policy takes the batcher monitor) -- safe to call
+  /// The resolved service class alone, read off the registry snapshot
+  /// (model_policy takes the batcher monitor) -- safe to call
   /// on an aborted engine, which the router's failover trace path does.
   Priority model_priority(ModelId id) const { return state(id)->priority; }
 
@@ -301,13 +303,12 @@ class Engine final : public Backend {
     std::uint32_t version = 1;
     bool retired = false;
     /// Resolved service class, duplicated from the batcher policy so
-    /// trace stamping and class_pending read it lock-free off the
-    /// registry snapshot instead of taking the batcher monitor.
+    /// trace stamping and class_pending read it off the registry
+    /// snapshot instead of taking the batcher monitor.
     Priority priority = Priority::kBatch;
   };
 
-  // The copy-on-write registry: readers atomically load the current
-  // snapshot (submit hot path, workers, observers); mutators copy the
+  // The copy-on-write registry: readers load the current snapshot (submit hot path, workers, observers); mutators copy the
   // vector under models_mutex_, edit one slot, and publish.  ModelId is
   // the slot index and is never reused.
   using Registry = std::vector<std::shared_ptr<const ModelState>>;
@@ -345,7 +346,7 @@ class Engine final : public Backend {
   MicroBatcher batcher_;
 
   mutable std::mutex models_mutex_;  // serializes registry mutations
-  std::atomic<std::shared_ptr<const Registry>> models_;
+  Snapshot<Registry> models_;
 
   // Live gauge behind export_metrics: workers inside a claimed batch.
   std::atomic<unsigned> busy_workers_{0};

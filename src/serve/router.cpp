@@ -95,13 +95,13 @@ ShardRouter::ShardRouter(ShardRouterOptions options,
   f->health.assign(options_.shards, ShardHealth::kUp);
   f->healthy.resize(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) f->healthy[s] = s;
-  fleet_.store(std::move(f), std::memory_order_release);
+  fleet_.store(std::move(f));
 }
 
 ShardRouter::~ShardRouter() { shutdown(); }
 
 std::shared_ptr<const ShardRouter::Fleet> ShardRouter::fleet() const {
-  return fleet_.load(std::memory_order_acquire);
+  return fleet_.load();
 }
 
 std::shared_ptr<ShardRouter::Fleet> ShardRouter::clone_fleet_locked() const {
@@ -113,8 +113,7 @@ void ShardRouter::publish_locked(std::shared_ptr<Fleet> next) {
   for (std::size_t s = 0; s < next->health.size(); ++s) {
     if (next->health[s] == ShardHealth::kUp) next->healthy.push_back(s);
   }
-  fleet_.store(std::shared_ptr<const Fleet>(std::move(next)),
-               std::memory_order_release);
+  fleet_.store(std::move(next));
 }
 
 ModelId ShardRouter::add_model(std::shared_ptr<const infer::SparseDnn> model,
@@ -190,7 +189,7 @@ void ShardRouter::remove_model(ModelId id) {
 void ShardRouter::swap_model(ModelId id,
                              std::shared_ptr<const infer::SparseDnn> dnn) {
   RADIX_REQUIRE(dnn != nullptr, "ShardRouter: model must not be null");
-  // One prewarm before ANY shard cuts over: the transpose caches live on
+  // One prewarm before ANY shard cuts over: the gather cache lives on
   // the shared SparseDnn, so each shard's own prewarm (inside
   // Engine::swap_model) finds them already built.
   dnn->prewarm();
@@ -440,7 +439,7 @@ bool ShardRouter::failover(const std::shared_ptr<Relay>& relay) {
 }
 
 SubmitResult ShardRouter::submit(InferenceRequest req, SubmitOptions opts) {
-  // One atomic snapshot load, no lock: lifecycle publishes (kill,
+  // One snapshot load, no admin lock: lifecycle publishes (kill,
   // drain, restart, swap) never stall the hot path.  No id pre-check
   // either -- the shard engine validates req.model and throws the same
   // unknown-model error.

@@ -67,9 +67,10 @@
 // the caller.  failovers() counts successful resubmissions.
 //
 // The routing state (engine pointers + health) is a copy-on-write
-// snapshot behind an atomic shared_ptr, exactly like the Engine model
-// registry: the submit hot path loads it without taking any lock, and
-// the admin calls publish new snapshots under a mutation mutex.
+// snapshot (support/snapshot.hpp), exactly like the Engine model
+// registry: the submit hot path copies it without waiting on any admin
+// call, and the admin calls publish new snapshots under a mutation
+// mutex.
 //
 // The cost of independence: coalescing quality.  Traffic that one
 // engine would merge into a single 32-row batch lands on N shards as N
@@ -95,6 +96,7 @@
 #include "serve/engine.hpp"
 #include "serve/qos.hpp"
 #include "store/journal.hpp"
+#include "support/snapshot.hpp"
 
 namespace radix::serve {
 
@@ -201,7 +203,7 @@ class ShardRouter final : public Backend {
   /// references obtained before that point dangle after it.
   const Engine& shard(std::size_t index) const;
 
-  /// Current health of one shard (lock-free snapshot read).
+  /// Current health of one shard (a routing-snapshot read).
   ShardHealth shard_health(std::size_t index) const;
 
   /// Take shard `index` out of rotation and wait for its backlog to
@@ -278,7 +280,7 @@ class ShardRouter final : public Backend {
 
  private:
   // The copy-on-write routing snapshot: everything the submit hot path
-  // needs, behind one atomic load.  `healthy` lists the kUp shard
+  // needs, behind one snapshot load.  `healthy` lists the kUp shard
   // indices so the pick never scans or allocates.  Engines are held by
   // shared_ptr so a snapshot taken just before a restart keeps the old
   // engine alive until its last in-flight submit returns.
@@ -318,7 +320,7 @@ class ShardRouter final : public Backend {
   /// FakeClock tests observe deterministic remaining budgets.
   ClockSource* clock_ = nullptr;
 
-  std::atomic<std::shared_ptr<const Fleet>> fleet_;
+  Snapshot<Fleet> fleet_;
 
   mutable std::mutex admin_mutex_;  // serializes lifecycle + log_
   store::RegistryJournal log_;

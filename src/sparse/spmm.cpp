@@ -37,10 +37,8 @@ struct Tile {
                    ? static_cast<std::size_t>(width)
                    : static_cast<std::size_t>(rows)) {}
 
-  std::size_t col(index_t c) const {
-    return kLayout == PanelLayout::kRowMajor
-               ? static_cast<std::size_t>(c)
-               : static_cast<std::size_t>(c) * stride;
+  std::size_t col(std::size_t c) const {
+    return kLayout == PanelLayout::kRowMajor ? c : c * stride;
   }
   std::size_t lane(index_t j) const {
     return kLayout == PanelLayout::kRowMajor
@@ -140,32 +138,57 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
       grain_for_cost(ops_per_tile));
 }
 
+// Input sources of the fused gather kernel: for_each_input(r, edge)
+// calls edge(input, weight) for every input of output r in ascending
+// input order.  CsrRows streams a pre-transposed layer's row r;
+// WindowRows computes the inputs of an eq. (1) window (uniform layers
+// only, so the weight it passes is never read).
+struct CsrRows {
+  std::span<const offset_t> rowptr;
+  std::span<const index_t> colind;
+  std::span<const float> vals;
+
+  template <class Edge>
+  void for_each_input(index_t r, Edge&& edge) const {
+    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+      edge(colind[k], vals[k]);
+    }
+  }
+};
+
+struct WindowRows {
+  const RadixWindows& win;
+
+  template <class Edge>
+  void for_each_input(index_t r, Edge&& edge) const {
+    win.for_each_input(r, [&](std::size_t i) { edge(i, 1.0f); });
+  }
+};
+
 // One J-lane block (lanes j0 .. j0+J-1 of a tile) of the fused gather
-// kernel: J independent accumulator chains over W^T's row r, epilogue
-// applied in registers.  J is a compile-time constant so the inner
-// loops fully unroll; over a tiled input the J loads of one edge are
-// one contiguous vector load.
-template <bool kUniform, int J, PanelLayout kIn, PanelLayout kOut>
-std::uint64_t csrT_fused_block(const Tile<kIn, const float>& xt,
-                               const Tile<kOut, float>& yt, index_t j0,
-                               index_t n, std::span<const offset_t> rowptr,
-                               std::span<const index_t> colind,
-                               std::span<const float> vals, float scale,
-                               float bias, float clamp) {
+// kernel: J independent accumulator chains over output r's inputs,
+// epilogue applied in registers.  J is a compile-time constant so the
+// inner loops fully unroll; over a tiled input the J loads of one edge
+// are one contiguous vector load.
+template <bool kUniform, int J, PanelLayout kIn, PanelLayout kOut,
+          class Source>
+std::uint64_t gather_fused_block(const Tile<kIn, const float>& xt,
+                                 const Tile<kOut, float>& yt, index_t j0,
+                                 index_t n, const Source& src, float scale,
+                                 float bias, float clamp) {
   const float* const xb = xt.base + xt.lane(j0);
   float* const yb = yt.base + yt.lane(j0);
   std::uint64_t nz = 0;
   for (index_t r = 0; r < n; ++r) {
     float acc[J] = {};
-    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      const float* xc = xb + xt.col(colind[k]);
+    src.for_each_input(r, [&](std::size_t c, float v) {
+      const float* xc = xb + xt.col(c);
       if constexpr (kUniform) {
         for (int j = 0; j < J; ++j) acc[j] += xc[xt.lane(j)];
       } else {
-        const float v = vals[k];
         for (int j = 0; j < J; ++j) acc[j] += xc[xt.lane(j)] * v;
       }
-    }
+    });
     float* yc = yb + yt.col(r);
     for (int j = 0; j < J; ++j) {
       const float v = epilogue(acc[j], scale, bias, clamp);
@@ -176,29 +199,25 @@ std::uint64_t csrT_fused_block(const Tile<kIn, const float>& xt,
   return nz;
 }
 
-// Shared body of the fused gather kernels over a pre-transposed layer.
-// Each W^T row entry is loaded once per kBatchTile batch rows, feeding
-// kBatchTile independent accumulator chains (out-of-order execution
-// hides the FP-add latency a single chain serializes on); partial tiles
-// step down through 4/2/1-lane blocks rather than collapsing to the
-// serial chain.  Every accumulator sums in ascending input-index order
-// -- the same order the scatter arm adds contributions -- so both arms
-// are bit-identical.
-template <bool kUniform, PanelLayout kIn, PanelLayout kOut>
-std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
-                              CsrFloatView wt, float scale, float* y,
-                              float bias, float clamp) {
-  RADIX_REQUIRE_DIM(wt.cols() == m,
-                    "spmm_dense_csrT_fused: inner dim mismatch");
-  const index_t n = wt.rows();  // output width
-  const auto rowptr = wt.rowptr();
-  const auto colind = wt.colind();
-  const auto vals = wt.values();
+// Shared body of the fused gather kernels, over n outputs with `edges`
+// inputs in total.  Each input is loaded once per kBatchTile batch
+// rows, feeding kBatchTile independent accumulator chains (out-of-order
+// execution hides the FP-add latency a single chain serializes on);
+// partial tiles step down through 4/2/1-lane blocks rather than
+// collapsing to the serial chain.  Every accumulator sums in ascending
+// input-index order -- the same order the scatter arm adds
+// contributions -- so both arms, and both input sources, are
+// bit-identical.
+template <bool kUniform, PanelLayout kIn, PanelLayout kOut, class Source>
+std::uint64_t gather_fused_impl(const float* x, index_t batch, index_t m,
+                                index_t n, std::size_t edges,
+                                const Source& src, float scale, float* y,
+                                float bias, float clamp) {
   const std::int64_t ntiles =
       batch == 0 ? 0 : (batch + kBatchTile - 1) / kBatchTile;
   const std::int64_t ops_per_tile =
       static_cast<std::int64_t>(kBatchTile) *
-      static_cast<std::int64_t>(wt.nnz() + n);
+      static_cast<std::int64_t>(edges + n);
   return parallel_reduce_sum<std::uint64_t>(
       0, ntiles,
       [&](std::int64_t t) -> std::uint64_t {
@@ -207,9 +226,8 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
         const Tile<kIn, const float> xt(x, b0, rows, m);
         const Tile<kOut, float> yt(y, b0, rows, n);
         const auto block = [&]<int J>(index_t j0) {
-          return csrT_fused_block<kUniform, J>(xt, yt, j0, n, rowptr,
-                                               colind, vals, scale, bias,
-                                               clamp);
+          return gather_fused_block<kUniform, J>(xt, yt, j0, n, src, scale,
+                                                 bias, clamp);
         };
         index_t j = 0;
         std::uint64_t nz = 0;
@@ -229,6 +247,20 @@ std::uint64_t csrT_fused_impl(const float* x, index_t batch, index_t m,
         return nz;
       },
       grain_for_cost(ops_per_tile));
+}
+
+// The fused gather over a pre-transposed layer wt = W^T.
+template <bool kUniform>
+std::uint64_t csrT_fused(const float* x, index_t batch, index_t m,
+                         CsrFloatView wt, float scale, float* y, float bias,
+                         float clamp, PanelLayouts layouts) {
+  RADIX_REQUIRE_DIM(wt.cols() == m,
+                    "spmm_dense_csrT_fused: inner dim mismatch");
+  const CsrRows src{wt.rowptr(), wt.colind(), wt.values()};
+  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
+    return gather_fused_impl<kUniform, kIn, kOut>(
+        x, batch, m, wt.rows(), wt.nnz(), src, scale, y, bias, clamp);
+  });
 }
 
 }  // namespace
@@ -297,10 +329,8 @@ std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt, float* y,
                                     float bias, float clamp,
                                     PanelLayouts layouts) {
-  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return csrT_fused_impl<false, kIn, kOut>(x, batch, m, wt,
-                                             /*scale=*/1.0f, y, bias, clamp);
-  });
+  return csrT_fused<false>(x, batch, m, wt, /*scale=*/1.0f, y, bias, clamp,
+                           layouts);
 }
 
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
@@ -319,9 +349,23 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             float uniform_weight, float* y,
                                             float bias, float clamp,
                                             PanelLayouts layouts) {
+  return csrT_fused<true>(x, batch, m, wt, uniform_weight, y, bias, clamp,
+                          layouts);
+}
+
+std::uint64_t spmm_dense_windows_fused_uniform(
+    const float* x, index_t batch, index_t m, const RadixWindows& win,
+    float uniform_weight, float* y, float bias, float clamp,
+    PanelLayouts layouts) {
+  RADIX_REQUIRE_DIM(win.modulus == m,
+                    "spmm_dense_windows_fused_uniform: inner dim mismatch");
+  const WindowRows src{win};
+  const std::size_t edges =
+      static_cast<std::size_t>(win.outputs()) * win.degree;
   return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return csrT_fused_impl<true, kIn, kOut>(x, batch, m, wt, uniform_weight,
-                                            y, bias, clamp);
+    return gather_fused_impl<true, kIn, kOut>(x, batch, m, win.outputs(),
+                                              edges, src, uniform_weight, y,
+                                              bias, clamp);
   });
 }
 

@@ -58,6 +58,19 @@
 // the inner loops only ever stream the three CSR arrays, so they run
 // equally over heap-owned layers and mmap'd artifact sections -- the
 // zero-copy load path of store/artifact.hpp.
+//
+// Gather input sources
+// --------------------
+// The fused gather kernel has one body, templated on where each
+// output's inputs come from (next to the PanelLayout template): the
+// rows of a pre-transposed CSR layer, or -- for a uniform RadiX-Net
+// layer -- the eq. (1) window of sparse/radix_windows.hpp, whose inputs
+// are computed from one start index per output instead of loaded from
+// a column-index array.  A wrapped window is walked low run first, so
+// both sources sum every output in ascending input order and the
+// implicit kernel is bit-identical to the explicit uniform gather.
+// It drops the 4-byte column-index load of every edge, and with it the
+// index-to-address dependency in front of every activation load.
 #pragma once
 
 #include <cstddef>
@@ -65,6 +78,7 @@
 
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
+#include "sparse/radix_windows.hpp"
 
 namespace radix {
 
@@ -142,6 +156,15 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             float uniform_weight, float* y,
                                             float bias, float clamp,
                                             PanelLayouts layouts = {});
+
+/// The uniform fused gather over an implicit layer: output c sums the
+/// inputs of window c of `win` (see "Gather input sources" above).
+/// Bit-identical to spmm_dense_csrT_fused_uniform over the transpose of
+/// the layer the windows were found in.
+std::uint64_t spmm_dense_windows_fused_uniform(
+    const float* x, index_t batch, index_t m, const RadixWindows& win,
+    float uniform_weight, float* y, float bias, float clamp,
+    PanelLayouts layouts = {});
 
 /// Number of nonzero entries of a dense float array (parallel reduction).
 std::uint64_t count_nonzeros(const float* v, std::size_t n);

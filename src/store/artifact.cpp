@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "graph/fnnt.hpp"
 #include "radixnet/builder.hpp"
@@ -32,6 +33,42 @@ struct Payload {
   std::uint64_t count;
   std::uint32_t elem_size;
 };
+
+// The spec text of a spec-only artifact, parsed and size-checked: every
+// layer at most kMaxLayerWidth wide and at most kMaxSpecEdges edges in
+// all, with every product overflow-checked, so nothing is allocated for
+// a spec that asks for more.
+RadixNetSpec checked_spec(const std::string& text, const std::string& path) {
+  std::optional<RadixNetSpec> spec;
+  try {
+    spec.emplace(spec_from_text(text));
+  } catch (const SpecError& e) {
+    throw FormatError(path + ": " + e.what());
+  }
+  const auto radices = spec->flattened_radices();
+  const auto& d = spec->dense_widths();
+  std::uint64_t edges = 0;
+  bool over = false;
+  for (const std::uint32_t di : d) {
+    std::uint64_t width = 0;
+    over |= __builtin_mul_overflow(std::uint64_t{di}, spec->n_prime(),
+                                   &width) ||
+            width > kMaxLayerWidth;
+  }
+  for (std::size_t i = 0; i < radices.size() && !over; ++i) {
+    // N' * D_{i-1} * D_i fits 64 bits once the widths are capped.
+    std::uint64_t layer = 0;
+    over |= __builtin_mul_overflow(spec->n_prime() * d[i] * d[i + 1],
+                                   std::uint64_t{radices[i]}, &layer) ||
+            __builtin_add_overflow(edges, layer, &edges) ||
+            edges > kMaxSpecEdges;
+  }
+  if (over) {
+    throw FormatError(path + ": spec asks for a network larger than the "
+                             "format allows");
+  }
+  return std::move(*spec);
+}
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* p,
                   std::size_t n) {
@@ -389,8 +426,7 @@ infer::SparseDnn ArtifactReader::instantiate() const {
     }
     const std::string text(reinterpret_cast<const char*>(payload(spec_sec)),
                            spec_sec.size);
-    const RadixNetSpec spec = spec_from_text(text);
-    const Fnnt topo = build_radix_net(spec);
+    const Fnnt topo = build_radix_net(checked_spec(text, path_));
     if (topo.depth() != layer_count_) {
       throw FormatError(path_ + ": spec builds " +
                         std::to_string(topo.depth()) +

@@ -54,7 +54,10 @@
 // file_size field against the actual size, section bounds/alignment,
 // and every payload hash -- eagerly, before any data is interpreted;
 // instantiate() then checks the layer shapes (chained, at most
-// kMaxLayerWidth wide) and the CSR invariants.  Violations throw the
+// kMaxLayerWidth wide) and the CSR invariants -- for a spec-only
+// artifact, the widths and total edge count the spec asks the builder
+// for (at most kMaxSpecEdges), before anything is built.  Violations
+// throw the
 // typed errors below (all IoError subclasses), so a serving daemon can
 // distinguish "file corrupt" from "file missing".
 // Writers commit via write-to-temp + fsync + atomic rename, so a crash
@@ -105,6 +108,11 @@ inline constexpr std::uint32_t kNoLayer = 0xffffffffu;
 /// Graph-Challenge width (65536).  A declared width is what the forward
 /// pass allocates per batch row, so a corrupt one must not reach it.
 inline constexpr std::uint32_t kMaxLayerWidth = 1u << 24;
+/// Most edges a spec-only artifact may build (sum over layers of
+/// N' * N_i * D_{i-1} * D_i).  The spec is a few bytes that the builder
+/// turns into ~9 bytes of CSR per edge, so a corrupt one must not reach
+/// it; 2^28 admits the challenge's width-65536 network at 128 layers.
+inline constexpr std::uint64_t kMaxSpecEdges = 1ull << 28;
 
 enum class SectionKind : std::uint32_t {
   kMeta = 1,          // name + clamp + layer count

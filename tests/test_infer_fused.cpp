@@ -21,6 +21,7 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+#include "radixnet/builder.hpp"
 #include "radixnet/graph_challenge.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -327,6 +328,107 @@ TEST(SparseDnnFused, TiledPanelsUniformDeepStackEveryBatchSize) {
   for (index_t batch = 1; batch <= 17; ++batch) {
     const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
     check_all_arms(net.layers, biases, gc::kClamp, x, batch);
+  }
+}
+
+// Implicit layers (sparse/radix_windows.hpp): the gather arm computes a
+// layer's inputs from eq. (1) windows when its weights are uniform and
+// every output reads exactly one window; any other layer keeps W^T.
+std::vector<bool> implicit_layers(const infer::SparseDnn& dnn) {
+  std::vector<bool> out;
+  for (std::size_t k = 0; k < dnn.depth(); ++k) {
+    out.push_back(dnn.layer_implicit(k));
+  }
+  return out;
+}
+
+TEST(SparseDnnFused, ImplicitLayersAreExactlyTheUniformWindowLayers) {
+  // Challenge networks, shuffled or not: every layer implicit.
+  for (const bool shuffled : {false, true}) {
+    Rng rng(51);
+    const auto net = gc::network(1024, 4, shuffled ? &rng : nullptr);
+    const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
+    EXPECT_EQ(implicit_layers(dnn), std::vector<bool>(4, true));
+  }
+  // The same topology with non-uniform weights: every layer explicit.
+  Rng rng(52);
+  const Fnnt topo = gc::topology(1024, 4);
+  std::vector<Csr<float>> weighted;
+  for (std::size_t l = 0; l < topo.depth(); ++l) {
+    weighted.push_back(topo.layer(l).map<float>(
+        [&](pattern_t) { return static_cast<float>(rng.uniform(0.1, 0.2)); }));
+  }
+  const infer::SparseDnn nonuniform(weighted, -0.1f);
+  EXPECT_EQ(implicit_layers(nonuniform), std::vector<bool>(4, false));
+  // A D > 1 Kronecker spec with uniform weights: layer 1 reads two
+  // windows per output (one per dense block) and stays explicit; the
+  // full-turn windows of layers 0 and 2 survive the Kronecker stage.
+  const Fnnt kron = build_radix_net({{2, 3, 4}}, {1, 2, 2, 1});
+  std::vector<Csr<float>> kron_layers;
+  for (std::size_t l = 0; l < kron.depth(); ++l) {
+    kron_layers.push_back(
+        kron.layer(l).map<float>([](pattern_t) { return 0.25f; }));
+  }
+  const infer::SparseDnn kron_dnn(kron_layers, -0.05f);
+  EXPECT_EQ(implicit_layers(kron_dnn),
+            (std::vector<bool>{true, false, true}));
+  // Random uniform-weight CSR: explicit.
+  Coo<float> coo(30, 30);
+  for (index_t r = 0; r < 30; ++r) {
+    for (index_t c = 0; c < 30; ++c) {
+      if (rng.bernoulli(0.2)) coo.push(r, c, 0.5f);
+    }
+  }
+  const infer::SparseDnn random_dnn({Csr<float>::from_coo(coo)}, 0.0f);
+  EXPECT_FALSE(random_dnn.layer_implicit(0));
+}
+
+TEST(SparseDnnFused, ImplicitForwardEveryBatchSizeBothLayouts) {
+  // Depth 1 runs row-major in and out; depth 4 adds three tiled inner
+  // panels.  Shuffled challenge layers, so windows wrap.
+  Rng rng(53);
+  const auto net = gc::network(1024, 4, &rng);
+  const std::vector<float> biases(net.layers.size(), net.bias);
+  const std::vector<Csr<float>> one = {net.layers[1]};
+  ASSERT_EQ(implicit_layers(infer::SparseDnn(net.layers, biases, gc::kClamp)),
+            std::vector<bool>(4, true));
+  Rng irng(54);
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    const auto x = gc::synthetic_input(batch, 1024, 0.4, irng);
+    check_all_arms(one, {net.bias}, gc::kClamp, x, batch);
+    check_all_arms(net.layers, biases, gc::kClamp, x, batch);
+  }
+  // The Kronecker stack mixes implicit and explicit layers in one pass.
+  const Fnnt kron = build_radix_net({{2, 3, 4}}, {1, 2, 2, 1});
+  std::vector<Csr<float>> kron_layers;
+  for (std::size_t l = 0; l < kron.depth(); ++l) {
+    kron_layers.push_back(
+        kron.layer(l).map<float>([](pattern_t) { return 0.25f; }));
+  }
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    const auto x = random_input(batch, kron_layers[0].rows(), 0.6, irng);
+    check_all_arms(kron_layers, {0.1f, -0.05f, 0.0f}, 3.0f, x, batch);
+  }
+}
+
+TEST(SparseDnnFused, ImplicitForwardAtTheChallengeShapes) {
+  // The two benchmark shapes: width 16384 x 12 layers at batch 32 and
+  // width 4096 x 24 layers at batch 64, every input at density 0.4.
+  struct Shape {
+    index_t width;
+    std::size_t layers;
+    index_t batch;
+  };
+  for (const Shape s : {Shape{16384, 12, 32}, Shape{4096, 24, 64}}) {
+    Rng rng(s.width);
+    const auto net = gc::network(s.width, s.layers, &rng);
+    const std::vector<float> biases(net.layers.size(), net.bias);
+    ASSERT_EQ(
+        implicit_layers(infer::SparseDnn(net.layers, biases, gc::kClamp)),
+        std::vector<bool>(s.layers, true));
+    Rng irng(s.width + 1);
+    const auto x = gc::synthetic_input(s.batch, s.width, 0.4, irng);
+    check_all_arms(net.layers, biases, gc::kClamp, x, s.batch);
   }
 }
 

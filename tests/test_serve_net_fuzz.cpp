@@ -12,6 +12,10 @@
 //     mutated kSubmit never parks a submit-pool thread -- also when the
 //     backend is saturated and every wait runs into the server's clamp.
 //     After each seed a fresh RemoteBackend must still ping the server.
+//   * Accounting: once the server has stopped, every kSubmit frame it
+//     parsed ended in exactly one counted way -- acked, rejected or
+//     orphaned (Server::submit_outcomes) -- and it parsed at least every
+//     kSubmit the test saw answered.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -282,6 +286,7 @@ TEST_P(WireFuzz, ParsesOrThrowsAndEveryFrameIsAnswered) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 23);
   int answered = 0;
   int closed = 0;
+  std::uint64_t answered_submits = 0;
   for (int round = 0; round < 40; ++round) {
     const std::uint64_t correlation = rng();
     Bytes bytes = valid_frame(rng, correlation);
@@ -336,12 +341,28 @@ TEST_P(WireFuzz, ParsesOrThrowsAndEveryFrameIsAnswered) {
                       " left unanswered");
     answered += outcome == Outcome::kAnswered;
     closed += outcome == Outcome::kClosed;
+    if (outcome == Outcome::kAnswered && !parsed.frames.empty() &&
+        parsed.frames.front().type == MsgType::kSubmit) {
+      ++answered_submits;
+    }
   }
   RecordProperty("answered", answered);
   RecordProperty("closed", closed);
 
-  RemoteBackend fresh(server_->port());
-  EXPECT_NO_THROW(fresh.ping());
+  {
+    RemoteBackend fresh(server_->port());
+    EXPECT_NO_THROW(fresh.ping());
+  }
+
+  // Settle: stop() runs every parsed frame's verb before it returns.
+  hold_.cancel();
+  server_->stop();
+  const Server::SubmitOutcomes c = server_->submit_outcomes();
+  EXPECT_EQ(c.parsed, c.acked + c.rejected + c.orphaned)
+      << "parsed " << c.parsed << ", acked " << c.acked << ", rejected "
+      << c.rejected << ", orphaned " << c.orphaned;
+  EXPECT_GE(c.parsed, answered_submits);
+  RecordProperty("submits_parsed", static_cast<int>(c.parsed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range(0, 16));

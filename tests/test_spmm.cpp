@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "radixnet/builder.hpp"
+#include "radixnet/graph_challenge.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
+#include "sparse/radix_windows.hpp"
 #include "support/random.hpp"
+#include "xnet/random_regular.hpp"
 
 namespace radix {
 namespace {
@@ -309,6 +314,199 @@ TEST(Spmm, EveryLayoutPairMatchesRowMajorBitExact) {
                 << names[arm] << " batch " << batch << " in "
                 << (in == kTiled) << " out " << (out == kTiled) << " at "
                 << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each output's inputs, walked through the window table, must be
+// exactly the output's W^T row, in the same (ascending) order.
+void expect_windows_reproduce(const RadixWindows& win, const Csr<float>& w,
+                              const std::string& tag) {
+  const auto wt = w.transpose();
+  ASSERT_EQ(win.outputs(), w.cols()) << tag;
+  ASSERT_EQ(win.modulus, w.rows()) << tag;
+  for (index_t c = 0; c < w.cols(); ++c) {
+    std::vector<index_t> walked;
+    win.for_each_input(c, [&](std::size_t i) {
+      walked.push_back(static_cast<index_t>(i));
+    });
+    const auto& row = wt.colind();
+    const std::vector<index_t> want(row.begin() + wt.rowptr()[c],
+                                    row.begin() + wt.rowptr()[c + 1]);
+    ASSERT_EQ(walked, want) << tag << " output " << c;
+  }
+}
+
+// The layer whose output c reads {(start[c] + nu * t) mod m : t < d}.
+Csr<float> window_layer(index_t m, index_t nu, index_t d,
+                        const std::vector<index_t>& start) {
+  Coo<float> coo(m, static_cast<index_t>(start.size()));
+  for (index_t c = 0; c < start.size(); ++c) {
+    for (index_t t = 0; t < d; ++t) {
+      coo.push(static_cast<index_t>(
+                   (std::uint64_t{start[c]} + std::uint64_t{nu} * t) % m),
+               c, 0.125f);
+    }
+  }
+  return Csr<float>::from_coo(coo);
+}
+
+// W with every stored (r, c) passed through `edit`.
+template <class Edit>
+Csr<float> edited_layer(const Csr<float>& w, Edit edit) {
+  Coo<float> coo(w.rows(), w.cols());
+  for (index_t r = 0; r < w.rows(); ++r) {
+    for (offset_t k = w.rowptr()[r]; k < w.rowptr()[r + 1]; ++k) {
+      index_t rr = r, cc = w.colind()[k];
+      if (edit(rr, cc)) coo.push(rr, cc, w.values()[k]);
+    }
+  }
+  return Csr<float>::from_coo(coo);
+}
+
+TEST(RadixWindows, FindsEveryChallengeLayerShuffledOrNot) {
+  for (const index_t width : {index_t{1024}, index_t{4096}, index_t{16384}}) {
+    const std::size_t depth = width == 1024 ? 4 : 6;  // two periods
+    for (const bool shuffled : {false, true}) {
+      Rng rng(width + 1);
+      const auto net = gc::network(width, depth, shuffled ? &rng : nullptr);
+      const auto radices = gc::base_system(width).front();
+      index_t nu = 1;
+      for (std::size_t k = 0; k < depth; ++k) {
+        const std::string tag = "width " + std::to_string(width) +
+                                (shuffled ? " shuffled" : "") + " layer " +
+                                std::to_string(k);
+        const auto win = find_radix_windows(net.layers[k]);
+        ASSERT_TRUE(win.has_value()) << tag;
+        // Eq. (1): the k-th radix's place value and the radix itself.
+        const index_t radix = radices[k % radices.size()];
+        EXPECT_EQ(win->degree, radix) << tag;
+        EXPECT_EQ(win->stride, nu) << tag;
+        nu = k % radices.size() + 1 == radices.size() ? 1 : nu * radix;
+        expect_windows_reproduce(*win, net.layers[k], tag);
+      }
+    }
+  }
+}
+
+TEST(RadixWindows, FindsEverySeededWindowLayer) {
+  // Random (width, stride, degree, starts) with windows shorter than
+  // one turn (stride * (degree - 1) < width, as in eq. (1)), strides
+  // that do and do not divide the width, and windows that wrap or not:
+  // the table must reproduce every W^T row.
+  Rng rng(71);
+  for (int round = 0; round < 200; ++round) {
+    const index_t m = 2 + static_cast<index_t>(rng.uniform(60));
+    const index_t nu = 1 + static_cast<index_t>(rng.uniform(m - 1));
+    const index_t d = 1 + static_cast<index_t>(rng.uniform((m - 1) / nu + 1));
+    const index_t n = 1 + static_cast<index_t>(rng.uniform(40));
+    std::vector<index_t> start(n);
+    for (auto& s : start) s = static_cast<index_t>(rng.uniform(m));
+    const auto w = window_layer(m, nu, d, start);
+    const std::string tag = "m " + std::to_string(m) + " nu " +
+                            std::to_string(nu) + " d " + std::to_string(d);
+    const auto win = find_radix_windows(w);
+    ASSERT_TRUE(win.has_value()) << tag;
+    EXPECT_EQ(win->degree, d) << tag;
+    expect_windows_reproduce(*win, w, tag);
+  }
+}
+
+TEST(RadixWindows, FallsBackOnEveryOtherStructure) {
+  Rng rng(73);
+  // The D > 1 Kronecker stage over a partial window: each output reads
+  // one window per dense block, two runs that do not close into one.
+  const Fnnt kron = build_radix_net({{2, 3, 4}}, {1, 2, 2, 1});
+  EXPECT_FALSE(find_radix_windows(
+                   kron.layer(1).map<float>([](pattern_t) { return 1.0f; }))
+                   .has_value());
+  // X-Net and random layers.
+  const Fnnt xnet = random_xnet({64, 64, 64}, 4, rng);
+  for (std::size_t k = 0; k < xnet.depth(); ++k) {
+    EXPECT_FALSE(find_radix_windows(xnet.layer(k).map<float>(
+                                        [](pattern_t) { return 1.0f; }))
+                     .has_value())
+        << "x-net layer " << k;
+  }
+  EXPECT_FALSE(find_radix_windows(random_csr(40, 40, 0.2, rng)).has_value());
+  EXPECT_FALSE(find_radix_windows(Csr<float>(8, 8)).has_value());
+
+  // One edge removed from, or moved within, a challenge layer.
+  Rng srng(5);
+  const auto net = gc::network(1024, 2, &srng);
+  for (std::size_t k = 0; k < net.layers.size(); ++k) {
+    const Csr<float>& w = net.layers[k];
+    ASSERT_TRUE(find_radix_windows(w).has_value());
+    const index_t r0 = 17;
+    const index_t c0 = w.colind()[w.rowptr()[r0]];
+    const auto has = [&](index_t r, index_t c) {
+      const auto b = w.colind().begin() + w.rowptr()[r];
+      const auto e = w.colind().begin() + w.rowptr()[r + 1];
+      return std::binary_search(b, e, c);
+    };
+    // Removed: output c0 loses one input.
+    EXPECT_FALSE(find_radix_windows(edited_layer(w, [&](index_t r, index_t c) {
+                   return !(r == r0 && c == c0);
+                 })).has_value())
+        << "layer " << k << " edge removed";
+    // Moved to another output: c0 loses an input, c1 gains one.
+    index_t c1 = (c0 + 1) % w.cols();
+    while (has(r0, c1)) c1 = (c1 + 1) % w.cols();
+    EXPECT_FALSE(find_radix_windows(edited_layer(w, [&](index_t r,
+                                                        index_t& c) {
+                   if (r == r0 && c == c0) c = c1;
+                   return true;
+                 })).has_value())
+        << "layer " << k << " edge moved to another output";
+    // Moved to another input: every in-degree is unchanged, but one
+    // input of c0 is no longer in its window.
+    index_t r1 = (r0 + 1) % w.rows();
+    while (has(r1, c0)) r1 = (r1 + 1) % w.rows();
+    EXPECT_FALSE(find_radix_windows(edited_layer(w, [&](index_t& r,
+                                                        index_t c) {
+                   if (r == r0 && c == c0) r = r1;
+                   return true;
+                 })).has_value())
+        << "layer " << k << " edge moved to another input";
+  }
+}
+
+TEST(Spmm, WindowGatherMatchesExplicitGatherEveryLayoutBitExact) {
+  // The implicit gather against the explicit uniform gather over the
+  // same layer's transpose: the same bits and nonzero count in every
+  // layout pair and at every batch 1..17, over layers with wrapping
+  // windows (shuffled challenge layers, strides 1 and 32).
+  Rng srng(9);
+  const auto net = gc::network(1024, 2, &srng);
+  Rng rng(19);
+  using enum PanelLayout;
+  for (const Csr<float>& w : net.layers) {
+    const auto win = find_radix_windows(w);
+    ASSERT_TRUE(win.has_value());
+    const auto wt = w.transpose();
+    const float uw = w.values().front();
+    const index_t m = w.rows(), n = w.cols();
+    for (index_t batch = 1; batch <= 17; ++batch) {
+      auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
+      for (auto& v : x) v = v < -0.3f ? 0.0f : v;
+      const std::size_t out_size = static_cast<std::size_t>(batch) * n;
+      for (PanelLayout in : {kRowMajor, kTiled}) {
+        for (PanelLayout out : {kRowMajor, kTiled}) {
+          std::vector<float> want(out_size), got(out_size, -3.0f);
+          const auto want_nz = spmm_dense_csrT_fused_uniform(
+              x.data(), batch, m, wt, uw, want.data(), -0.05f, 0.9f,
+              {in, out});
+          const auto nz = spmm_dense_windows_fused_uniform(
+              x.data(), batch, m, *win, uw, got.data(), -0.05f, 0.9f,
+              {in, out});
+          EXPECT_EQ(nz, want_nz) << "batch " << batch;
+          for (std::size_t i = 0; i < out_size; ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "batch " << batch << " in " << (in == kTiled) << " out "
+                << (out == kTiled) << " at " << i;
           }
         }
       }

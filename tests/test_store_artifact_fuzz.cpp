@@ -7,10 +7,18 @@
 // checks behind the checksums run too.  A mutant must either open,
 // instantiate and run a forward pass, or throw IoError; any other
 // exception, or a crash, fails.
+//
+// Spec-only artifacts get their own mutants: edits to the spec text
+// (characters, whole numbers, grown numbers, commented-out lines),
+// written back into the spec section and re-sealed, so the spec parser
+// and the size cap in front of the builder (store::kMaxSpecEdges) run
+// on every one.  A spec asking for a network past the cap must be
+// refused before anything is built.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +30,7 @@
 #include <vector>
 
 #include "infer/sparse_dnn.hpp"
+#include "radixnet/spec.hpp"
 #include "store/artifact.hpp"
 #include "store/checksum.hpp"
 #include "store/format.hpp"
@@ -54,6 +63,19 @@ infer::SparseDnn small_dnn() {
                         std::move(values));
   }
   return infer::SparseDnn(std::move(layers), {-0.1f, -0.2f, -0.3f}, 32.0f);
+}
+
+// A small spec-only network: two (4,4) systems on N' = 16 with one
+// dense width of 2, so the Kronecker stage is in play.
+RadixNetSpec small_spec() {
+  return RadixNetSpec({MixedRadix({4, 4}), MixedRadix({4, 4})},
+                      {1, 2, 1, 1, 1});
+}
+
+void save_small_spec(const std::string& path, const RadixNetSpec& spec) {
+  const std::vector<float> weights(spec.total_radices(), 0.25f);
+  const std::vector<float> biases(spec.total_radices(), -0.05f);
+  store::save_spec_artifact(path, spec, weights, biases, 32.0f, "spec");
 }
 
 Bytes slurp(const std::string& path) {
@@ -201,6 +223,59 @@ void mutate(Bytes& bytes, Rng& rng) {
   }
 }
 
+// One edit to the spec text of a spec-only artifact, written back into
+// the spec section's slot (up to the next section) with its size and
+// count updated; false when the edited text no longer fits.  The caller
+// re-seals.
+bool mutate_spec(Bytes& bytes, Rng& rng) {
+  constexpr auto kSpec = static_cast<std::uint32_t>(store::SectionKind::kSpec);
+  const std::size_t n = table_entries(bytes);
+  for (std::size_t i = 0; i < n; ++i) {
+    store::SectionEntry s = entry(bytes, i);
+    if (s.kind != kSpec) continue;
+    std::uint64_t slot_end = bytes.size();
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t o = entry(bytes, j).offset;
+      if (o > s.offset) slot_end = std::min(slot_end, o);
+    }
+    std::string text(reinterpret_cast<const char*>(bytes.data() + s.offset),
+                     s.size);
+    static const char kChars[] = "0123456789,|: #\nDx";
+    static const char* const kNumbers[] = {
+        "0", "1", "3", "16", "4096", "4294967295", "4294967296",
+        "99999999999999999999"};
+    const std::size_t at = rng.uniform(text.size());
+    switch (rng.uniform(4)) {
+      case 0:  // one character
+        text[at] = kChars[rng.uniform(sizeof(kChars) - 1)];
+        break;
+      case 1: {  // the number under (or after) `at`, replaced whole
+        std::size_t b = text.find_first_of("0123456789", at);
+        if (b == std::string::npos) return false;
+        while (b > 0 && std::isdigit(static_cast<unsigned char>(text[b - 1]))) {
+          --b;
+        }
+        const std::size_t e = text.find_first_not_of("0123456789", b);
+        text.replace(b, e - b, kNumbers[rng.uniform(std::size(kNumbers))]);
+        break;
+      }
+      case 2:  // a number grown by one digit
+        text.insert(at, 1, static_cast<char>('0' + rng.uniform(10)));
+        break;
+      default:  // the rest of a line commented out
+        text.insert(at, 1, '#');
+        break;
+    }
+    if (text.size() > slot_end - s.offset) return false;
+    std::fill(bytes.begin() + s.offset, bytes.begin() + slot_end, 0);
+    std::memcpy(bytes.data() + s.offset, text.data(), text.size());
+    s.size = s.count = text.size();
+    put_entry(bytes, i, s);
+    return true;
+  }
+  return false;
+}
+
 class ArtifactFuzz : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
@@ -210,11 +285,31 @@ class ArtifactFuzz : public ::testing::TestWithParam<int> {
     std::filesystem::create_directories(dir_);
     store::save_artifact(dir_ + "/valid.radixart", small_dnn(), "fuzz");
     valid_ = slurp(dir_ + "/valid.radixart");
+    save_small_spec(dir_ + "/spec.radixart", small_spec());
+    valid_spec_ = slurp(dir_ + "/spec.radixart");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  // Opens, instantiates and runs one row through `path`; false when the
+  // reader refuses it with an IoError, a test failure on anything else.
+  bool opens_and_runs(const std::string& path) {
+    try {
+      const store::ArtifactReader reader(path);
+      const infer::SparseDnn dnn = reader.instantiate();
+      const std::vector<float> x(dnn.input_width(), 1.0f);
+      EXPECT_EQ(dnn.forward(x, 1).size(), dnn.output_width());
+      return true;
+    } catch (const IoError&) {
+      // A typed refusal is the other accepted outcome.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped error: " << e.what();
+    }
+    return false;
+  }
+
   std::string dir_;
   Bytes valid_;
+  Bytes valid_spec_;
 };
 
 TEST_P(ArtifactFuzz, OpensAndRunsOrThrowsIoError) {
@@ -237,19 +332,58 @@ TEST_P(ArtifactFuzz, OpensAndRunsOrThrowsIoError) {
     spit(path, bytes);
     SCOPED_TRACE("round " + std::to_string(round) +
                  (sealed ? " (re-sealed)" : ""));
-    try {
-      const store::ArtifactReader reader(path);
-      const infer::SparseDnn dnn = reader.instantiate();
-      const std::vector<float> x(dnn.input_width(), 1.0f);
-      EXPECT_EQ(dnn.forward(x, 1).size(), dnn.output_width());
-      ++opened;
-    } catch (const IoError&) {
-      // A typed refusal is the other accepted outcome.
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "untyped error: " << e.what();
-    }
+    opened += opens_and_runs(path);
   }
   RecordProperty("opened", opened);
+}
+
+TEST_P(ArtifactFuzz, SpecOnlyOpensAndRunsOrThrowsIoError) {
+  ASSERT_TRUE(opens_and_runs(dir_ + "/spec.radixart"));
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7727 + 5);
+  const std::string path = dir_ + "/spec_mutant.radixart";
+  int opened = 0;
+  for (int round = 0; round < 64; ++round) {
+    Bytes bytes = valid_spec_;
+    for (std::uint64_t m = 0, k = 1 + rng.uniform(3); m < k; ++m) {
+      (void)mutate_spec(bytes, rng);
+    }
+    // One in four also takes a structural mutation.
+    if (rng.uniform(4) == 0) mutate(bytes, rng);
+    reseal(bytes);
+    spit(path, bytes);
+    SCOPED_TRACE("round " + std::to_string(round));
+    opened += opens_and_runs(path);
+  }
+  RecordProperty("opened", opened);
+}
+
+TEST(ArtifactSpecCap, OversizedSpecsAreRefusedBeforeBuilding) {
+  const std::string dir =
+      "radixnet_artifact_spec_cap_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/big.radixart";
+  const auto refused = [&](const RadixNetSpec& spec) {
+    save_small_spec(path, spec);
+    const store::ArtifactReader reader(path);
+    EXPECT_THROW((void)reader.instantiate(), store::FormatError)
+        << spec.to_string();
+  };
+  // N' = 256, layer widths up to 2^24 (the width cap) but 2^29 edges,
+  // twice kMaxSpecEdges: building it would take gigabytes.
+  static_assert(store::kMaxSpecEdges == 1ull << 28);
+  refused(RadixNetSpec({MixedRadix({16, 16})}, {1, 1u << 16, 1}));
+  // One dense width past kMaxLayerWidth.
+  refused(RadixNetSpec({MixedRadix({16, 16})}, {1, (1u << 16) + 1, 1}));
+  // Widths whose product with N' overflows 64 bits.
+  refused(RadixNetSpec({MixedRadix({65536, 65536})},
+                       {1, 0xffffffffu, 0xffffffffu}));
+  // The same spec within the caps builds and runs.
+  save_small_spec(path, RadixNetSpec({MixedRadix({16, 16})}, {1, 2, 1}));
+  const store::ArtifactReader reader(path);
+  const infer::SparseDnn dnn = reader.instantiate();
+  EXPECT_EQ(dnn.total_nnz(), 2u * 256u * 16u * 2u);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArtifactFuzz, ::testing::Range(0, 16));

@@ -90,9 +90,9 @@ std::uint64_t SparseDnn::total_nnz() const noexcept {
 }
 
 index_t SparseDnn::max_width() const noexcept {
-  // Panels only ever hold layer *outputs*; the input batch is read from
-  // the caller's buffer in place and never copied into a panel.
-  index_t w = 0;
+  // forward copies the input batch into a panel (tiled), so the input
+  // width counts next to every layer's output width.
+  index_t w = input_width();
   for (const auto& l : views_) w = std::max(w, l.cols());
   return w;
 }
@@ -146,15 +146,25 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
     workspace.dispatch_.reserve(views_.size());
   }
 
-  // Input nonzero count seeds the density signal for the first layer's
-  // dispatch; every later layer gets it free from the fused epilogue.
-  std::uint64_t nz = count_nonzeros(
-      input, static_cast<std::size_t>(batch) * views_.front().rows());
-
-  // Layout by layer position (sparse/spmm.hpp): layer 0 reads the
-  // caller's row-major batch in place, the activations between layers
-  // stay tiled, and the last layer writes row-major for the caller.
+  // Every layer reads a tiled panel (sparse/spmm.hpp): the caller's
+  // row-major batch is copied tiled into panel 1, which layer 0 reads
+  // while it writes panel 0.  A 1-row batch is its own tiled layout and
+  // is read in place.  The input's nonzero count, from the same pass,
+  // seeds the density signal for the first layer's dispatch; every
+  // later layer gets it free from the fused epilogue.
+  const index_t in_width = input_width();
   const float* cur = input;
+  std::uint64_t nz = 0;
+  if (batch > 1) {
+    float* staged = workspace.panel(1);
+    nz = tile_panel(input, batch, in_width, staged);
+    cur = staged;
+  } else {
+    nz = count_nonzeros(input, static_cast<std::size_t>(batch) * in_width);
+  }
+
+  // The activations between layers stay tiled, and the last layer
+  // writes row-major for the caller.
   int out_panel = 0;
   auto layer_start = std::chrono::steady_clock::now();
   for (std::size_t k = 0; k < views_.size(); ++k) {
@@ -171,7 +181,7 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
                                                   : Kernel::kGather;
     }
     const PanelLayouts layouts{
-        .in = k == 0 ? PanelLayout::kRowMajor : PanelLayout::kTiled,
+        .in = PanelLayout::kTiled,
         .out = k + 1 == views_.size() ? PanelLayout::kRowMajor
                                       : PanelLayout::kTiled};
     float* dst = workspace.panel(out_panel);

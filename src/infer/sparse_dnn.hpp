@@ -36,23 +36,28 @@
 //     Both record Kernel::kGather and are bit-identical.
 //
 // Activations live in a caller-provided InferenceWorkspace: two
-// ping-pong panels sized once to batch x max_layer_width, so a forward
-// pass performs zero heap allocations and never copies the input batch
-// in steady state (the first pass may build the gather cache).
+// ping-pong panels sized once to batch x max_width (the input and every
+// layer output), so a forward pass performs zero heap allocations in
+// steady state (the first pass may build the gather cache).
 //
 // Panel layout is fixed by a layer's position in the stack, not by an
 // option (PanelLayout, sparse/spmm.hpp):
 //
-//   * layer 0 reads the caller's row-major batch in place;
-//   * the activations between layers are *tiled*: each kBatchTile-row
-//     tile stores a column's lanes contiguously, so one edge is one
-//     32-byte load in the gather arm and one cache line in the scatter
-//     arm instead of kBatchTile row-major lines;
+//   * every layer reads a *tiled* panel: each kBatchTile-row tile
+//     stores a column's lanes contiguously, so one edge is one 32-byte
+//     load in the gather arm (two 4-float vector adds, see "The vector
+//     gather block" in spmm.hpp) and one cache line in the scatter arm
+//     instead of kBatchTile row-major lines.  forward copies the
+//     caller's row-major batch into panel 1 in that layout, in parallel
+//     over tiles, counting its nonzeros (the first layer's dispatch
+//     density) in the same pass; a 1-row batch is already tiled and is
+//     read in place;
+//   * the activations between layers stay tiled;
 //   * the last layer writes row-major, so forward's result span is the
 //     same [batch x output_width] row-major matrix as ever.
 //
-// A depth-1 stack is row-major in and out.  Layout changes addresses
-// only: results are bit-identical to an all-row-major pass.
+// Layout changes addresses only: results are bit-identical to an
+// all-row-major pass.
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy gather cache is
 // mutex-guarded).
@@ -68,7 +73,8 @@
 // the engine's lifetime.  Borrowed layers are never copied -- the fused
 // kernels stream the mapped arrays directly; only the gather cache (a
 // window table or a transpose per layer) is materialized on the heap.
-// SparseDnn is move-only: views into owned layers stay valid across
+// Activations, the tiled copy of the input batch included, live in the
+// caller's workspace, never in the engine.  SparseDnn is move-only: views into owned layers stay valid across
 // moves (vector heap buffers are stable) but would dangle in a copy.
 //
 // The engine reports the standard challenge throughput metric: edges
@@ -155,9 +161,9 @@ class SparseDnn {
   bool layer_uniform(std::size_t k) const { return layer_uniform_[k] != 0; }
   float uniform_weight(std::size_t k) const { return uniform_weight_[k]; }
 
-  /// Widest activation panel a forward pass writes: the max over layer
-  /// output widths.  The input batch is read in place, never staged in
-  /// a panel, so the input width does not participate.
+  /// Widest activation panel a forward pass writes: the max over the
+  /// input width (forward stages the input batch, tiled, in a panel)
+  /// and every layer's output width.
   index_t max_width() const noexcept;
 
   /// Pay every one-time cost up front so the *first* forward call is
@@ -174,10 +180,12 @@ class SparseDnn {
 
   /// Zero-allocation forward: runs the full stack over the row-major
   /// [batch x input_width] batch at `input` using the workspace's
-  /// ping-pong panels (tiled between layers, see above).  The returned
-  /// span of final activations [batch x output_width] is row-major,
-  /// aliases workspace memory and stays valid until the workspace is
-  /// next written.  The input batch is read in place, never copied.
+  /// ping-pong panels (tiled up to the last layer, see above).  The
+  /// returned span of final activations [batch x output_width] is
+  /// row-major, aliases workspace memory and stays valid until the
+  /// workspace is next written.  The input batch is copied once, tiled,
+  /// into a panel (a 1-row batch is read in place), so `input` must not
+  /// alias the workspace.
   std::span<const float> forward(const float* input, index_t batch,
                                  InferenceWorkspace& workspace,
                                  InferenceStats* stats = nullptr) const;

@@ -1,22 +1,24 @@
 // Reusable activation workspace for the sparse DNN inference engine.
 //
 // A forward pass needs exactly two activation panels of
-// batch x max_layer_width floats: layer k reads one panel (or, for the
-// first layer, the caller's input batch directly) and writes the other,
-// ping-ponging down the stack.  InferenceWorkspace owns those panels and
-// grows them monotonically, so a caller that reuses one workspace across
-// repeated forward calls of the same shape performs zero heap
-// allocations and zero input copies in steady state -- the property the
-// Graph-Challenge edges/second metric rewards.
+// batch x max_width floats, where max_width (SparseDnn::max_width)
+// covers the input width and every layer's output width: forward first
+// copies the caller's input batch, tiled, into panel 1 (a 1-row batch
+// is already tiled and is read in place), then layer k reads one panel
+// and writes the other, ping-ponging down the stack.
+// InferenceWorkspace owns those panels and grows them monotonically,
+// so a caller that reuses one workspace across repeated forward calls
+// of the same shape performs zero heap allocations in steady state --
+// the property the Graph-Challenge edges/second metric rewards.
 //
-// Between layers the panels hold activations in the tiled layout of
-// sparse/spmm.hpp (PanelLayout::kTiled): the tile of L <= kBatchTile
-// rows starting at row t0 stores (t0 + j, c) at t0 * width + c * L + j.
-// A partial last tile uses lane stride L, so a tiled panel is exactly
-// batch x width floats -- the same capacity as a row-major one.  Only
-// the last layer's panel, the one forward returns, is row-major.  The
-// panels are 64-byte aligned, so a full tile's 8 lanes of one column
-// sit in one cache line.
+// Every layer input is in the tiled layout of sparse/spmm.hpp
+// (PanelLayout::kTiled): the tile of L <= kBatchTile rows starting at
+// row t0 stores (t0 + j, c) at t0 * width + c * L + j.  A partial last
+// tile uses lane stride L, so a tiled panel is exactly batch x width
+// floats -- the same capacity as a row-major one.  Only the last
+// layer's panel, the one forward returns, is row-major.  The panels
+// are 64-byte aligned, so a full tile's 8 lanes of one column sit in
+// one cache line.
 //
 // The workspace also records, per layer of the last forward pass, which
 // kernel the adaptive dispatch chose and the activation density that
@@ -45,7 +47,7 @@ struct LayerDispatch {
   double input_density = 0.0;      ///< nonzero fraction of the layer input
   std::uint64_t nonzero_outputs = 0;  ///< epilogue byproduct
   /// Wall time of the layer's fused kernel (one steady-clock read per
-  /// layer).
+  /// layer; the input copy before layer 0 is in no layer's time).
   std::uint64_t wall_ns = 0;
 };
 
@@ -53,7 +55,8 @@ class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
 
-  /// Ensure capacity for two batch x max_width panels.  Growth-only:
+  /// Ensure capacity for two batch x max_width panels (max_width covers
+  /// the input width, see above).  Growth-only:
   /// shrinking requests keep the larger buffers, so alternating shapes
   /// never thrash the allocator.
   void reserve(index_t batch, index_t max_width);

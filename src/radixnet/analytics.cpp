@@ -1,10 +1,44 @@
 #include "radixnet/analytics.hpp"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "support/error.hpp"
 
 namespace radix {
+
+namespace {
+
+std::uint64_t checked_mul(std::uint64_t a, std::uint64_t b,
+                          const char* what) {
+  std::uint64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) {
+    throw SpecError(std::string(what) + ": count exceeds 64 bits");
+  }
+  return r;
+}
+
+std::uint64_t checked_add(std::uint64_t a, std::uint64_t b,
+                          const char* what) {
+  std::uint64_t r = 0;
+  if (__builtin_add_overflow(a, b, &r)) {
+    throw SpecError(std::string(what) + ": count exceeds 64 bits");
+  }
+  return r;
+}
+
+// D_i * N' for every layer, overflow-checked.
+std::vector<std::uint64_t> checked_widths(const RadixNetSpec& spec,
+                                          const char* what) {
+  std::vector<std::uint64_t> w;
+  for (const std::uint32_t di : spec.dense_widths()) {
+    w.push_back(checked_mul(di, spec.n_prime(), what));
+  }
+  return w;
+}
+
+}  // namespace
 
 double exact_density(const RadixNetSpec& spec) {
   const auto radices = spec.flattened_radices();
@@ -49,32 +83,43 @@ BigUInt predicted_path_count(const RadixNetSpec& spec) {
 }
 
 std::uint64_t predicted_edge_count(const RadixNetSpec& spec) {
+  constexpr const char* kWhat = "predicted_edge_count";
   const auto radices = spec.flattened_radices();
   const auto& d = spec.dense_widths();
   std::uint64_t edges = 0;
   for (std::size_t i = 0; i < radices.size(); ++i) {
-    edges += static_cast<std::uint64_t>(radices[i]) * d[i] * d[i + 1] *
-             spec.n_prime();
+    std::uint64_t layer = checked_mul(radices[i], d[i], kWhat);
+    layer = checked_mul(layer, d[i + 1], kWhat);
+    layer = checked_mul(layer, spec.n_prime(), kWhat);
+    edges = checked_add(edges, layer, kWhat);
   }
   return edges;
 }
 
 std::uint64_t predicted_node_count(const RadixNetSpec& spec) {
+  constexpr const char* kWhat = "predicted_node_count";
   std::uint64_t nodes = 0;
-  for (std::uint64_t w : spec.layer_widths()) nodes += w;
+  for (std::uint64_t w : checked_widths(spec, kWhat)) {
+    nodes = checked_add(nodes, w, kWhat);
+  }
   return nodes;
 }
 
 std::uint64_t predicted_storage_bytes(const RadixNetSpec& spec) {
+  constexpr const char* kWhat = "predicted_storage_bytes";
   const std::uint64_t edges = predicted_edge_count(spec);
   const std::uint64_t nodes = predicted_node_count(spec);
-  return edges * (4 + 1) + nodes * 8;
+  return checked_add(checked_mul(edges, 4 + 1, kWhat),
+                     checked_mul(nodes, 8, kWhat), kWhat);
 }
 
 std::uint64_t dense_edge_count(const RadixNetSpec& spec) {
-  const auto w = spec.layer_widths();
+  constexpr const char* kWhat = "dense_edge_count";
+  const auto w = checked_widths(spec, kWhat);
   std::uint64_t e = 0;
-  for (std::size_t i = 0; i + 1 < w.size(); ++i) e += w[i] * w[i + 1];
+  for (std::size_t i = 0; i + 1 < w.size(); ++i) {
+    e = checked_add(e, checked_mul(w[i], w[i + 1], kWhat), kWhat);
+  }
   return e;
 }
 

@@ -33,6 +33,10 @@ double approx_density_mu_d(double mu, double d);
 /// system's product).
 BigUInt predicted_path_count(const RadixNetSpec& spec);
 
+// The size counts below are exact: every product and sum is
+// overflow-checked, and a count that does not fit 64 bits throws
+// SpecError instead of wrapping.
+
 /// Total edge count of the topology, without building it:
 ///   sum_i N_i * D_{i-1} * D_i * N'.
 std::uint64_t predicted_edge_count(const RadixNetSpec& spec);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -53,6 +55,10 @@ ParsedTsv parse_tsv(const std::string& path) {
       if (!(ss >> parsed.rows >> parsed.cols))
         throw IoError(path + ":" + std::to_string(lineno) +
                       ": bad %%shape header");
+      if (parsed.rows > kMaxTsvDimension || parsed.cols > kMaxTsvDimension)
+        throw IoError(path + ":" + std::to_string(lineno) +
+                      ": %%shape exceeds " +
+                      std::to_string(kMaxTsvDimension));
       have_shape = true;
       continue;
     }
@@ -61,9 +67,19 @@ ParsedTsv parse_tsv(const std::string& path) {
     double r, c, v;
     if (!(ss >> r >> c >> v))
       throw IoError(path + ":" + std::to_string(lineno) + ": parse error");
-    if (r < 1 || c < 1)
+    // Negated so a NaN fails too; every check precedes the casts below.
+    if (!(r >= 1 && c >= 1))
       throw IoError(path + ":" + std::to_string(lineno) +
                     ": indices must be 1-based positive");
+    if (r != std::floor(r) || c != std::floor(c))
+      throw IoError(path + ":" + std::to_string(lineno) +
+                    ": indices must be whole numbers");
+    if (r > kMaxTsvDimension || c > kMaxTsvDimension)
+      throw IoError(path + ":" + std::to_string(lineno) + ": index exceeds " +
+                    std::to_string(kMaxTsvDimension));
+    if (!(std::fabs(v) <= std::numeric_limits<float>::max()))
+      throw IoError(path + ":" + std::to_string(lineno) +
+                    ": value out of float range");
     triples.push_back({r, c, v});
     if (static_cast<index_t>(r) > max_r) {
       max_r = static_cast<index_t>(r);
@@ -105,7 +121,14 @@ void write_tsv(const std::string& path, const Csr<pattern_t>& m) {
 Csr<float> read_tsv_f32(const std::string& path) {
   ParsedTsv parsed = parse_tsv(path);
   Csr<double> d = Csr<double>::from_coo(parsed.coo);
-  return d.map<float>([](double v) { return static_cast<float>(v); });
+  // Duplicate entries are summed in double, so a sum may leave float's
+  // range even though every entry was checked.
+  return d.map<float>([&](double v) {
+    if (!(std::fabs(v) <= std::numeric_limits<float>::max())) {
+      throw IoError(path + ": duplicate entries sum out of float range");
+    }
+    return static_cast<float>(v);
+  });
 }
 
 Csr<pattern_t> read_tsv_pattern(const std::string& path) {
@@ -130,8 +153,10 @@ std::vector<Csr<pattern_t>> read_layer_stack(const std::string& prefix) {
   if (!meta) throw IoError("cannot open for reading: " + prefix + "-meta.txt");
   std::size_t n = 0;
   if (!(meta >> n)) throw IoError(prefix + "-meta.txt:1: bad layer count");
+  // n is untrusted: it is never used to size anything, and a count
+  // beyond the meta lines or layer files present fails at the first
+  // missing one.
   std::vector<Csr<pattern_t>> layers;
-  layers.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     index_t r, c;
     // Meta line i+2 carries layer i's shape (line 1 is the count).

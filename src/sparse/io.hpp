@@ -6,6 +6,12 @@
 // A leading header line "%%shape rows cols" pins the matrix shape so that
 // trailing empty rows/columns round-trip.  Layer stacks are written one
 // file per layer plus an index file listing widths.
+//
+// The readers take untrusted text: every index must be a whole number in
+// [1, kMaxTsvDimension], every value must fit a float, and a declared
+// shape may not exceed kMaxTsvDimension either way; anything else is an
+// IoError naming the file and line, never a wrapped cast or an
+// allocation sized by a corrupt number.
 #pragma once
 
 #include <string>
@@ -14,6 +20,11 @@
 #include "sparse/csr.hpp"
 
 namespace radix {
+
+/// Largest row or column count a TSV matrix may declare or imply: 2^24,
+/// the widest layer the model artifact format accepts
+/// (store::kMaxLayerWidth).
+inline constexpr index_t kMaxTsvDimension = index_t{1} << 24;
 
 /// Write a float CSR matrix as TSV triples.
 void write_tsv(const std::string& path, const Csr<float>& m);

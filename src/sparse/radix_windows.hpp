@@ -37,6 +37,21 @@
 
 namespace radix {
 
+/// Calls edge(i) for each input i of the window whose first input is s,
+/// in ascending order: the low (wrapped) run first, then the high run
+/// (i is passed as std::size_t so a caller's address arithmetic on it
+/// strength-reduces to a pointer step).
+template <class Edge>
+void walk_window(index_t s, index_t stride, index_t degree, index_t modulus,
+                 Edge&& edge) {
+  // Inputs s + stride * t below the modulus form the high run.
+  const index_t high = std::min(degree, (modulus - s - 1) / stride + 1);
+  std::size_t i = std::size_t{s} + std::size_t{stride} * high - modulus;
+  for (index_t t = high; t < degree; ++t, i += stride) edge(i);
+  i = s;
+  for (index_t t = 0; t < high; ++t, i += stride) edge(i);
+}
+
 struct RadixWindows {
   std::vector<index_t> start;  ///< first input (t = 0) of each output
   index_t stride = 0;          ///< nu: distance between consecutive inputs
@@ -47,19 +62,10 @@ struct RadixWindows {
     return static_cast<index_t>(start.size());
   }
 
-  /// Calls edge(i) for each input i of output c, in ascending order
-  /// (i is passed as std::size_t so a caller's address arithmetic on it
-  /// strength-reduces to a pointer step).
+  /// Calls edge(i) for each input i of output c, in ascending order.
   template <class Edge>
   void for_each_input(index_t c, Edge&& edge) const {
-    const index_t s = start[c];
-    // Inputs s + stride * t below the modulus form the high run.
-    const index_t high =
-        std::min(degree, (modulus - s - 1) / stride + 1);
-    std::size_t i = std::size_t{s} + std::size_t{stride} * high - modulus;
-    for (index_t t = high; t < degree; ++t, i += stride) edge(i);
-    i = s;
-    for (index_t t = 0; t < high; ++t, i += stride) edge(i);
+    walk_window(start[c], stride, degree, modulus, edge);
   }
 };
 

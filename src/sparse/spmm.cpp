@@ -1,6 +1,8 @@
 #include "sparse/spmm.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -157,19 +159,27 @@ struct CsrRows {
 };
 
 struct WindowRows {
-  const RadixWindows& win;
+  const index_t* start;
+  index_t stride, degree, modulus;
+
+  explicit WindowRows(const RadixWindows& win)
+      : start(win.start.data()), stride(win.stride), degree(win.degree),
+        modulus(win.modulus) {}
 
   template <class Edge>
   void for_each_input(index_t r, Edge&& edge) const {
-    win.for_each_input(r, [&](std::size_t i) { edge(i, 1.0f); });
+    walk_window(start[r], stride, degree, modulus,
+                [&](std::size_t i) { edge(i, 1.0f); });
   }
 };
 
 // One J-lane block (lanes j0 .. j0+J-1 of a tile) of the fused gather
 // kernel: J independent accumulator chains over output r's inputs,
 // epilogue applied in registers.  J is a compile-time constant so the
-// inner loops fully unroll; over a tiled input the J loads of one edge
-// are one contiguous vector load.
+// inner loops fully unroll.  This scalar block serves a row-major input
+// (the public kernel API) and the 2- and 1-lane remainders of a tiled
+// one; full 8- and 4-lane blocks of a tiled input take
+// gather_vector_block below.
 template <bool kUniform, int J, PanelLayout kIn, PanelLayout kOut,
           class Source>
 std::uint64_t gather_fused_block(const Tile<kIn, const float>& xt,
@@ -199,6 +209,87 @@ std::uint64_t gather_fused_block(const Tile<kIn, const float>& xt,
   return nz;
 }
 
+// The native 4-float vector of the SSE2 baseline, and its lane-mask
+// twin (GCC/Clang vector extension: no compile flag, no intrinsics).  A
+// comparison yields all-ones lanes where it holds; a cast between the
+// two reinterprets bits.
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef std::int32_t i32x4 __attribute__((vector_size(16)));
+typedef std::uint32_t u32x4 __attribute__((vector_size(16)));
+
+inline f32x4 splat(float v) { return f32x4{v, v, v, v}; }
+
+// Unaligned 16-byte load/store: a partial tile's lane runs sit at
+// 4 * L-byte column strides, so alignment is not guaranteed.
+inline f32x4 load4(const float* p) {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void store4(float* p, f32x4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// epilogue() on four lanes, bit for bit: ReLU clears exactly the lanes
+// where v < 0 (so -0.0 and NaN pass through, as the scalar if does), and
+// the ceiling selects hi where v > hi, with hi = +inf when there is no
+// clamp.
+inline f32x4 epilogue4(f32x4 v, f32x4 scale, f32x4 bias, f32x4 hi) {
+  v = v * scale + bias;
+  const f32x4 zero = {};
+  v = (f32x4)((i32x4)v & ~(v < zero));
+  const i32x4 over = v > hi;
+  return (f32x4)(((i32x4)v & ~over) | ((i32x4)hi & over));
+}
+
+// The fused gather block over a tiled input for J in {8, 4}: J/4
+// vector accumulators stay in registers from the first edge through
+// the epilogue, the nonzero count is a per-lane compare-and-subtract,
+// and a tiled output takes each 4 lanes as one store (a row-major one,
+// the last layer's, is written lane by lane).  Every lane sums in the
+// scalar block's order with the same IEEE operations, so the two blocks
+// are bit-identical.
+template <bool kUniform, int J, PanelLayout kOut, class Source>
+std::uint64_t gather_vector_block(const Tile<PanelLayout::kTiled,
+                                             const float>& xt,
+                                  const Tile<kOut, float>& yt, index_t j0,
+                                  index_t n, const Source& src, float scale,
+                                  float bias, float clamp) {
+  static_assert(J % 4 == 0);
+  constexpr int kVecs = J / 4;
+  // A local copy of the source keeps its fields in registers: the
+  // output stores may alias anything the source points into.
+  const Source s = src;
+  const float* const xb = xt.base + xt.lane(j0);
+  float* const yb = yt.base + yt.lane(j0);
+  const f32x4 vscale = splat(scale), vbias = splat(bias);
+  const f32x4 vhi =
+      splat(clamp > 0.0f ? clamp : std::numeric_limits<float>::infinity());
+  const f32x4 zero = {};
+  u32x4 nz = {};
+  for (index_t r = 0; r < n; ++r) {
+    f32x4 acc[kVecs] = {};
+    s.for_each_input(r, [&](std::size_t c, float v) {
+      const float* xc = xb + xt.col(c);
+      if constexpr (kUniform) {
+        for (int q = 0; q < kVecs; ++q) acc[q] += load4(xc + 4 * q);
+      } else {
+        const f32x4 w = splat(v);
+        for (int q = 0; q < kVecs; ++q) acc[q] += load4(xc + 4 * q) * w;
+      }
+    });
+    float* yc = yb + yt.col(r);
+    for (int q = 0; q < kVecs; ++q) {
+      const f32x4 y = epilogue4(acc[q], vscale, vbias, vhi);
+      nz -= (u32x4)(y != zero);
+      if constexpr (kOut == PanelLayout::kTiled) {
+        store4(yc + 4 * q, y);
+      } else {
+        for (int j = 0; j < 4; ++j) yc[yt.lane(4 * q + j)] = y[j];
+      }
+    }
+  }
+  return std::uint64_t{nz[0]} + nz[1] + nz[2] + nz[3];
+}
+
 // Shared body of the fused gather kernels, over n outputs with `edges`
 // inputs in total.  Each input is loaded once per kBatchTile batch
 // rows, feeding kBatchTile independent accumulator chains (out-of-order
@@ -226,8 +317,13 @@ std::uint64_t gather_fused_impl(const float* x, index_t batch, index_t m,
         const Tile<kIn, const float> xt(x, b0, rows, m);
         const Tile<kOut, float> yt(y, b0, rows, n);
         const auto block = [&]<int J>(index_t j0) {
-          return gather_fused_block<kUniform, J>(xt, yt, j0, n, src, scale,
-                                                 bias, clamp);
+          if constexpr (kIn == PanelLayout::kTiled && J % 4 == 0) {
+            return gather_vector_block<kUniform, J>(xt, yt, j0, n, src,
+                                                    scale, bias, clamp);
+          } else {
+            return gather_fused_block<kUniform, J>(xt, yt, j0, n, src,
+                                                   scale, bias, clamp);
+          }
         };
         index_t j = 0;
         std::uint64_t nz = 0;
@@ -359,7 +455,7 @@ std::uint64_t spmm_dense_windows_fused_uniform(
     PanelLayouts layouts) {
   RADIX_REQUIRE_DIM(win.modulus == m,
                     "spmm_dense_windows_fused_uniform: inner dim mismatch");
-  const WindowRows src{win};
+  const WindowRows src(win);
   const std::size_t edges =
       static_cast<std::size_t>(win.outputs()) * win.degree;
   return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
@@ -367,6 +463,33 @@ std::uint64_t spmm_dense_windows_fused_uniform(
                                               edges, src, uniform_weight, y,
                                               bias, clamp);
   });
+}
+
+std::uint64_t tile_panel(const float* x, index_t batch, index_t width,
+                         float* out) {
+  const std::int64_t ntiles =
+      batch == 0 ? 0 : (batch + kBatchTile - 1) / kBatchTile;
+  return parallel_reduce_sum<std::uint64_t>(
+      0, ntiles,
+      [&](std::int64_t t) -> std::uint64_t {
+        const index_t b0 = static_cast<index_t>(t) * kBatchTile;
+        const index_t rows = std::min(batch - b0, kBatchTile);
+        const Tile<PanelLayout::kRowMajor, const float> xt(x, b0, rows,
+                                                           width);
+        const Tile<PanelLayout::kTiled, float> yt(out, b0, rows, width);
+        std::uint64_t nz = 0;
+        for (index_t c = 0; c < width; ++c) {
+          const float* xc = xt.base + xt.col(c);
+          float* yc = yt.base + yt.col(c);
+          for (index_t j = 0; j < rows; ++j) {
+            const float v = xc[xt.lane(j)];
+            yc[yt.lane(j)] = v;
+            nz += v != 0.0f ? 1 : 0;
+          }
+        }
+        return nz;
+      },
+      grain_for_cost(static_cast<std::int64_t>(kBatchTile) * width));
 }
 
 std::uint64_t count_nonzeros(const float* v, std::size_t n) {

@@ -50,8 +50,28 @@
 // range per tile as its row-major twin, and is the same size.  Layout
 // changes only addresses: each output lane still sums in ascending
 // input-index order, so every layout pair is bit-identical to the
-// row-major call.  SparseDnn::forward keeps the activations between
-// layers tiled (see infer/sparse_dnn.hpp).
+// row-major call.  tile_panel copies a row-major panel into the tiled
+// layout; SparseDnn::forward uses it once for the input batch, so every
+// layer reads a tiled panel, and keeps the activations between layers
+// tiled (see infer/sparse_dnn.hpp).  A 1-row panel is the same in both
+// layouts.
+//
+// The vector gather block
+// -----------------------
+// Over a tiled input the gather arm runs each full 8- or 4-lane block
+// of a tile in J/4 native 4-float vectors (GCC/Clang vector_size(16):
+// the SSE2 baseline, no compile flag, no intrinsics).  They stay in
+// registers from the first edge to the store: one vector add (weighted:
+// multiply and add) per 4 lanes per edge, then the epilogue as
+// v * scale + bias, ReLU as compare + and-not (so -0.0 and NaN pass
+// exactly as the scalar `if (v < 0)` lets them), the ceiling as
+// compare + select against clamp, or +inf when clamp <= 0, and the
+// nonzero count as compare-and-subtract.  A tiled output takes each 4
+// lanes as one store; a row-major one (the last layer's) is written
+// lane by lane.  Each lane performs the scalar block's IEEE operations
+// in the same order, so the two are bit-identical.  The scalar block
+// remains for the 2- and 1-lane remainders of a partial tile and for a
+// row-major input.
 //
 // The fused kernels take the weight matrix as a CsrFloatView (implicitly
 // constructible from Csr<float>, so owning call sites are unchanged):
@@ -165,6 +185,12 @@ std::uint64_t spmm_dense_windows_fused_uniform(
     const float* x, index_t batch, index_t m, const RadixWindows& win,
     float uniform_weight, float* y, float bias, float clamp,
     PanelLayouts layouts = {});
+
+/// Copies the row-major [batch x width] panel x into `out` in the tiled
+/// layout, in parallel over batch tiles, and returns x's nonzero count
+/// from the same pass.  x and out must not overlap.
+std::uint64_t tile_panel(const float* x, index_t batch, index_t width,
+                         float* out);
 
 /// Number of nonzero entries of a dense float array (parallel reduction).
 std::uint64_t count_nonzeros(const float* v, std::size_t n);

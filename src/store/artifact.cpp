@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "graph/fnnt.hpp"
+#include "radixnet/analytics.hpp"
 #include "radixnet/builder.hpp"
 #include "radixnet/serialize.hpp"
 #include "store/checksum.hpp"
@@ -36,8 +37,8 @@ struct Payload {
 
 // The spec text of a spec-only artifact, parsed and size-checked: every
 // layer at most kMaxLayerWidth wide and at most kMaxSpecEdges edges in
-// all, with every product overflow-checked, so nothing is allocated for
-// a spec that asks for more.
+// all (predicted_edge_count, whose overflow counts as too many), so
+// nothing is allocated for a spec that asks for more.
 RadixNetSpec checked_spec(const std::string& text, const std::string& path) {
   std::optional<RadixNetSpec> spec;
   try {
@@ -45,23 +46,19 @@ RadixNetSpec checked_spec(const std::string& text, const std::string& path) {
   } catch (const SpecError& e) {
     throw FormatError(path + ": " + e.what());
   }
-  const auto radices = spec->flattened_radices();
-  const auto& d = spec->dense_widths();
-  std::uint64_t edges = 0;
   bool over = false;
-  for (const std::uint32_t di : d) {
+  for (const std::uint32_t di : spec->dense_widths()) {
     std::uint64_t width = 0;
     over |= __builtin_mul_overflow(std::uint64_t{di}, spec->n_prime(),
                                    &width) ||
             width > kMaxLayerWidth;
   }
-  for (std::size_t i = 0; i < radices.size() && !over; ++i) {
-    // N' * D_{i-1} * D_i fits 64 bits once the widths are capped.
-    std::uint64_t layer = 0;
-    over |= __builtin_mul_overflow(spec->n_prime() * d[i] * d[i + 1],
-                                   std::uint64_t{radices[i]}, &layer) ||
-            __builtin_add_overflow(edges, layer, &edges) ||
-            edges > kMaxSpecEdges;
+  if (!over) {
+    try {
+      over = predicted_edge_count(*spec) > kMaxSpecEdges;
+    } catch (const SpecError&) {  // the count overflows 64 bits
+      over = true;
+    }
   }
   if (over) {
     throw FormatError(path + ": spec asks for a network larger than the "

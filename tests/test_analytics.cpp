@@ -5,6 +5,7 @@
 
 #include "graph/properties.hpp"
 #include "radixnet/builder.hpp"
+#include "support/error.hpp"
 
 namespace radix {
 namespace {
@@ -124,6 +125,27 @@ TEST(Analytics, MinimalDensityBound) {
   const double delta = density(g);
   EXPECT_GE(delta, min_density(g) - 1e-12);
   EXPECT_LE(delta, 1.0 + 1e-12);
+}
+
+TEST(Analytics, SizeCountsThrowInsteadOfWrapping) {
+  // One system (65536, 65536), D = 1, 2^32 - 1, 2^32 - 1: N' = 2^32, so
+  // the second layer alone has 65536 * (2^32 - 1)^2 * 2^32 edges, far
+  // past 64 bits.  Unchecked, the edge count wrapped to exactly 0.
+  const std::uint32_t big = 0xFFFFFFFFu;
+  const auto spec = make_spec({{65536, 65536}}, {1, big, big});
+  EXPECT_THROW((void)predicted_edge_count(spec), SpecError);
+  EXPECT_THROW((void)predicted_storage_bytes(spec), SpecError);
+  EXPECT_THROW((void)dense_edge_count(spec), SpecError);
+  EXPECT_THROW((void)predicted_node_count(spec), SpecError);
+
+  // The same system at D = 1 fits: 2 layers of 65536 * 2^32 edges, and
+  // dense layers of (2^32)^2 = 2^64 edges do not.
+  const auto fits = make_spec({{65536, 65536}}, {1, 1, 1});
+  EXPECT_EQ(predicted_edge_count(fits), std::uint64_t{1} << 49);
+  EXPECT_EQ(predicted_node_count(fits), std::uint64_t{3} << 32);
+  EXPECT_EQ(predicted_storage_bytes(fits),
+            (std::uint64_t{5} << 49) + (std::uint64_t{24} << 32));
+  EXPECT_THROW((void)dense_edge_count(fits), SpecError);
 }
 
 }  // namespace

@@ -331,6 +331,56 @@ TEST(SparseDnnFused, TiledPanelsUniformDeepStackEveryBatchSize) {
   }
 }
 
+// forward copies the input batch, tiled, into a workspace panel, so the
+// panels must cover the input width as well as every layer output:
+// inputs wider and narrower than every layer, general and uniform
+// weights, every batch 1..17, all arms bit-exact against the reference;
+// after prewarm for the largest batch, forwards of every size keep the
+// same panels and allocate nothing.
+TEST(SparseDnnFused, InputPanelWiderAndNarrowerThanEveryLayer) {
+  Rng rng(47);
+  const auto uniform = [](Csr<float> w) {
+    return w.map<float>([](float) { return 0.25f; });
+  };
+  const std::vector<std::vector<Csr<float>>> stacks = {
+      {random_layer(40, 12, 0.4, rng), random_layer(12, 9, 0.4, rng)},
+      {uniform(random_layer(40, 12, 0.4, rng)),
+       uniform(random_layer(12, 9, 0.4, rng))},
+      {random_layer(6, 30, 0.5, rng), random_layer(30, 25, 0.4, rng)},
+      {uniform(random_layer(6, 30, 0.5, rng)),
+       uniform(random_layer(30, 25, 0.4, rng))}};
+  const std::vector<float> biases = {-0.05f, 0.1f};
+  for (const auto& layers : stacks) {
+    const index_t in = layers.front().rows();
+    for (index_t batch = 1; batch <= 17; ++batch) {
+      check_all_arms(layers, biases, 1.5f,
+                     random_input(batch, in, 0.6, rng), batch);
+    }
+
+    infer::SparseDnn dnn(layers, biases, 1.5f);
+    EXPECT_EQ(dnn.max_width(), std::max({in, layers[0].cols(),
+                                         layers[1].cols()}));
+    infer::InferenceWorkspace ws;
+    dnn.prewarm({.max_batch = 17, .workspace = &ws});
+    const float* panel = ws.panel_data();
+    const std::size_t cap = ws.capacity();
+    EXPECT_EQ(cap, std::size_t{17} * dnn.max_width());
+    std::vector<std::vector<float>> inputs;
+    for (index_t batch = 1; batch <= 17; ++batch) {
+      inputs.push_back(random_input(batch, in, 0.6, rng));
+    }
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (index_t batch = 1; batch <= 17; ++batch) {
+      (void)dnn.forward(inputs[batch - 1].data(), batch, ws);
+    }
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u);
+    EXPECT_EQ(ws.panel_data(), panel);
+    EXPECT_EQ(ws.capacity(), cap);
+  }
+}
+
 // Implicit layers (sparse/radix_windows.hpp): the gather arm computes a
 // layer's inputs from eq. (1) windows when its weights are uniform and
 // every output reads exactly one window; any other layer keeps W^T.

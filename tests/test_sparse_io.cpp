@@ -5,9 +5,14 @@
 
 #include <unistd.h>
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -225,6 +230,197 @@ TEST_F(SparseIoTest, LayerStackMetaCountBeyondFilesThrows) {
   }
   EXPECT_THROW(read_layer_stack(path("overcount")), IoError);
 }
+
+TEST_F(SparseIoTest, OutOfRangeAndFractionalIndicesRejected) {
+  // Each line once parsed as a double and was cast to index_t: 1e300
+  // and 2^32 + 1 are undefined casts, 1.5 truncated silently.
+  for (const char* line : {"1e300\t1\t1.0\n", "1\t4294967297\t1.0\n",
+                           "1.5\t1\t1.0\n", "1\t16777217\t1.0\n",
+                           "1\t1\t1e300\n"}) {
+    {
+      std::ofstream out(path("range.tsv"), std::ios::trunc);
+      out << line;
+    }
+    EXPECT_THROW(read_tsv_f32(path("range.tsv")), IoError) << line;
+    EXPECT_THROW(read_tsv_pattern(path("range.tsv")), IoError) << line;
+  }
+  {
+    std::ofstream out(path("edge.tsv"), std::ios::trunc);
+    out << "2\t16777216\t1.0\n";  // the largest admitted index
+  }
+  EXPECT_EQ(read_tsv_pattern(path("edge.tsv")).cols(), kMaxTsvDimension);
+}
+
+TEST_F(SparseIoTest, OversizedShapeRejectedBeforeAllocating) {
+  // At the parent a 2^32 - 1 row header allocated a 32 GB row pointer.
+  for (const char* header : {"%%shape 4294967295 1\n", "%%shape 1 16777217\n",
+                             "%%shape 4294967296 1\n"}) {
+    {
+      std::ofstream out(path("huge.tsv"), std::ios::trunc);
+      out << header;
+    }
+    EXPECT_THROW(read_tsv_pattern(path("huge.tsv")), IoError) << header;
+  }
+}
+
+TEST_F(SparseIoTest, DuplicateSumOutOfFloatRangeRejected) {
+  std::ofstream out(path("sum.tsv"));
+  out << "1\t1\t3e38\n1\t1\t3e38\n";
+  out.close();
+  EXPECT_THROW(read_tsv_f32(path("sum.tsv")), IoError);
+  EXPECT_EQ(read_tsv_pattern(path("sum.tsv")).nnz(), 1u);
+}
+
+TEST_F(SparseIoTest, LayerStackHugeMetaCountThrows) {
+  Rng rng(6);
+  write_layer_stack(path("many"), {random_f32(3, 3, 0.5, rng).pattern()});
+  {
+    std::ofstream meta(path("many") + "-meta.txt", std::ios::trunc);
+    meta << "18446744073709551615\n3 3\n";
+  }
+  EXPECT_THROW(read_layer_stack(path("many")), IoError);
+}
+
+// Seeded mutation of written TSV text: each mutant must load or throw
+// IoError -- never another exception, a crash, an undefined cast (CI
+// runs this under ASan+UBSan with float-cast-overflow) or an allocation
+// sized by a corrupt number.  The replacement numbers sit on both sides
+// of every limit except the admitted maximum 2^24, whose 128 MB row
+// pointer would dominate the run (OutOfRangeAndFractionalIndicesRejected
+// covers it).
+class TsvFuzz : public SparseIoTest,
+                public ::testing::WithParamInterface<int> {
+ protected:
+  // One to three edits: a character, a number replaced whole, a digit
+  // inserted, or a line deleted, duplicated or swapped with the next.
+  static std::string mutate(std::string text, Rng& rng) {
+    static const char kChars[] = "0123456789.-+e\t %#\n";
+    static const char* const kNumbers[] = {
+        "0",     "1",          "-1",         "1.5",    "3",
+        "40",    "16777217",   "4294967295", "4294967297",
+        "1e300", "-1e300",     "3e38",       "3.5e38", "1e-45",
+        "nan",   "inf",        "99999999999999999999"};
+    const int edits = 1 + static_cast<int>(rng.uniform(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.uniform(text.size());
+      const std::size_t bol = text.rfind('\n', at == 0 ? 0 : at - 1);
+      const std::size_t line_lo = bol == std::string::npos || at == 0
+                                      ? 0
+                                      : bol + 1;
+      const std::size_t eol = text.find('\n', line_lo);
+      const std::size_t line_hi =
+          eol == std::string::npos ? text.size() : eol + 1;
+      switch (rng.uniform(6)) {
+        case 0:
+          text[at] = kChars[rng.uniform(sizeof(kChars) - 1)];
+          break;
+        case 1: {
+          std::size_t b = text.find_first_of("0123456789", at);
+          if (b == std::string::npos) break;
+          while (b > 0 && std::isdigit(static_cast<unsigned char>(text[b - 1]))) {
+            --b;
+          }
+          const std::size_t end = text.find_first_not_of("0123456789", b);
+          text.replace(b, end == std::string::npos ? std::string::npos : end - b,
+                       kNumbers[rng.uniform(std::size(kNumbers))]);
+          break;
+        }
+        case 2:
+          text.insert(at, 1, static_cast<char>('0' + rng.uniform(10)));
+          break;
+        case 3:
+          text.erase(line_lo, line_hi - line_lo);
+          break;
+        case 4:
+          text.insert(line_lo, text.substr(line_lo, line_hi - line_lo));
+          break;
+        default: {
+          if (line_hi >= text.size()) break;
+          const std::size_t next_eol = text.find('\n', line_hi);
+          const std::size_t next_hi =
+              next_eol == std::string::npos ? text.size() : next_eol + 1;
+          const std::string a = text.substr(line_lo, line_hi - line_lo);
+          const std::string b = text.substr(line_hi, next_hi - line_hi);
+          text.replace(line_lo, next_hi - line_lo, b + a);
+          break;
+        }
+      }
+    }
+    return text;
+  }
+
+  static std::string slurp(const std::string& p) {
+    std::ifstream in(p);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  static void spit(const std::string& p, const std::string& text) {
+    std::ofstream out(p, std::ios::trunc);
+    out << text;
+  }
+
+  // A loaded matrix is a valid CSR within the dimension limit.
+  template <class T>
+  static void expect_sane(const Csr<T>& m) {
+    EXPECT_LE(m.rows(), kMaxTsvDimension);
+    EXPECT_LE(m.cols(), kMaxTsvDimension);
+    for (index_t r = 0; r < m.rows(); ++r) {
+      for (const index_t c : m.row_cols(r)) EXPECT_LT(c, m.cols());
+    }
+  }
+};
+
+TEST_P(TsvFuzz, MatrixLoadsOrThrowsIoError) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 1);
+  const auto m = random_f32(1 + static_cast<index_t>(rng.uniform(9)),
+                            1 + static_cast<index_t>(rng.uniform(9)), 0.4,
+                            rng);
+  write_tsv(path("valid.tsv"), m);
+  const std::string valid = slurp(path("valid.tsv"));
+  int refused = 0;
+  for (int round = 0; round < 64; ++round) {
+    spit(path("mutant.tsv"), mutate(valid, rng));
+    try {
+      const auto f = read_tsv_f32(path("mutant.tsv"));
+      expect_sane(f);
+      for (const float v : f.values()) EXPECT_TRUE(std::isfinite(v)) << v;
+      expect_sane(read_tsv_pattern(path("mutant.tsv")));
+    } catch (const IoError&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0) << "no mutant was refused: the mutations are inert";
+}
+
+TEST_P(TsvFuzz, StackLoadsOrThrowsIoError) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  std::vector<Csr<pattern_t>> layers;
+  for (index_t w0 = 5, k = 0; k < 3; ++k) {
+    const index_t w1 = 2 + static_cast<index_t>(rng.uniform(6));
+    layers.push_back(random_f32(w0, w1, 0.5, rng).pattern());
+    w0 = w1;
+  }
+  write_layer_stack(path("stack"), layers);
+  std::vector<std::string> files = {path("stack") + "-meta.txt"};
+  for (std::size_t k = 0; k < layers.size(); ++k) {
+    files.push_back(path("stack") + "-layer" + std::to_string(k) + ".tsv");
+  }
+  std::vector<std::string> valid;
+  for (const auto& f : files) valid.push_back(slurp(f));
+  for (int round = 0; round < 64; ++round) {
+    const std::size_t victim = rng.uniform(files.size());
+    spit(files[victim], mutate(valid[victim], rng));
+    try {
+      const auto back = read_layer_stack(path("stack"));
+      for (const auto& l : back) expect_sane(l);
+    } catch (const IoError&) {
+    }
+    spit(files[victim], valid[victim]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TsvFuzz, ::testing::Range(0, 16));
 
 }  // namespace
 }  // namespace radix

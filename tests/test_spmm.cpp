@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -511,6 +514,142 @@ TEST(Spmm, WindowGatherMatchesExplicitGatherEveryLayoutBitExact) {
         }
       }
     }
+  }
+}
+
+// Straight-line reference of a fused gather: output c of row b sums
+// its W^T row in ascending input order (plain sums times
+// `uniform_weight` when given, else per-edge products), then the
+// epilogue's two ifs.  Row-major in and out; returns the nonzero count.
+std::uint64_t reference_gather(const std::vector<float>& x, index_t batch,
+                               const Csr<float>& wt,
+                               std::optional<float> uniform_weight,
+                               float bias, float clamp,
+                               std::vector<float>& y) {
+  const index_t m = wt.cols(), n = wt.rows();
+  y.assign(static_cast<std::size_t>(batch) * n, 0.0f);
+  std::uint64_t nz = 0;
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < n; ++c) {
+      float acc = 0.0f;
+      for (offset_t k = wt.rowptr()[c]; k < wt.rowptr()[c + 1]; ++k) {
+        const float xv = x[static_cast<std::size_t>(b) * m + wt.colind()[k]];
+        acc += uniform_weight ? xv : xv * wt.values()[k];
+      }
+      float v = acc * uniform_weight.value_or(1.0f) + bias;
+      if (v < 0.0f) v = 0.0f;
+      if (clamp > 0.0f && v > clamp) v = clamp;
+      y[static_cast<std::size_t>(b) * n + c] = v;
+      nz += v != 0.0f ? 1 : 0;
+    }
+  }
+  return nz;
+}
+
+TEST(Spmm, GatherEpilogueAtTheVectorBoundaryBitExact) {
+  // The gather arm's 4-float block against the scatter arm and the
+  // straight-line reference, compared with memcmp so a sign of zero or
+  // a NaN payload counts: batches 1..17 (8-, 4-, 2- and 1-lane blocks),
+  // both sources (window table and W^T rows), uniform and weighted
+  // (negative weights and biases), no ceiling (clamp 0 and -1), sums
+  // landing exactly on the clamp (every input and weight a multiple of
+  // 1/2), -0.0 results (+0 sums times a negative uniform weight plus a
+  // -0.0 bias) and a NaN input.
+  Rng rng(23);
+  const index_t m = 37, nu = 3, d = 6, n = 29;  // windows wrap
+  std::vector<index_t> start(n);
+  for (auto& st : start) st = static_cast<index_t>(rng.uniform(m));
+  const auto pattern = window_layer(m, nu, d, start);
+  const auto win = find_radix_windows(pattern);
+  ASSERT_TRUE(win.has_value());
+  const auto pt = pattern.transpose();
+  static const float kWeights[] = {-1.0f, -0.5f, 0.5f, 1.0f};
+  const auto weighted = pattern.map<float>(
+      [&](float) { return kWeights[rng.uniform(4)]; });
+  const auto weighted_t = weighted.transpose();
+  static const float kInputs[] = {-2.0f, -1.0f, -0.5f, 0.0f,
+                                  0.0f,  0.5f,  1.0f,  2.0f};
+  using enum PanelLayout;
+  for (index_t batch = 1; batch <= 17; ++batch) {
+    std::vector<float> x(static_cast<std::size_t>(batch) * m);
+    for (auto& v : x) v = kInputs[rng.uniform(8)];
+    if (batch % 5 == 0) x[rng.uniform(x.size())] = NAN;
+    const std::size_t out_size = static_cast<std::size_t>(batch) * n;
+    for (const float uw : {0.5f, -0.5f}) {
+      for (const float bias : {-0.0f, -0.5f, 0.25f}) {
+        for (const float clamp : {0.0f, -1.0f, 1.0f}) {
+          std::vector<float> want_u, want_w;
+          const auto nz_u =
+              reference_gather(x, batch, pt, uw, bias, clamp, want_u);
+          const auto nz_w = reference_gather(x, batch, weighted_t,
+                                             std::nullopt, bias, clamp,
+                                             want_w);
+          for (PanelLayout in : {kTiled, kRowMajor}) {
+            const auto xin = to_layout(x, batch, m, in);
+            for (PanelLayout out : {kTiled, kRowMajor}) {
+              const PanelLayouts l{in, out};
+              const auto check = [&](const char* arm, auto run,
+                                     const std::vector<float>& want,
+                                     std::uint64_t want_nz) {
+                std::vector<float> got(out_size, -3.0f);
+                const std::uint64_t nz = run(got.data());
+                const auto back = from_layout(got, batch, n, out);
+                const std::string tag =
+                    std::string(arm) + " batch " + std::to_string(batch) +
+                    " uw " + std::to_string(uw) + " bias " +
+                    std::to_string(bias) + " clamp " +
+                    std::to_string(clamp) + " in " +
+                    std::to_string(in == kTiled) + " out " +
+                    std::to_string(out == kTiled);
+                EXPECT_EQ(nz, want_nz) << tag;
+                EXPECT_EQ(std::memcmp(back.data(), want.data(),
+                                      out_size * sizeof(float)),
+                          0)
+                    << tag;
+              };
+              check("window gather", [&](float* y) {
+                return spmm_dense_windows_fused_uniform(
+                    xin.data(), batch, m, *win, uw, y, bias, clamp, l);
+              }, want_u, nz_u);
+              check("uniform gather", [&](float* y) {
+                return spmm_dense_csrT_fused_uniform(
+                    xin.data(), batch, m, pt, uw, y, bias, clamp, l);
+              }, want_u, nz_u);
+              check("uniform scatter", [&](float* y) {
+                return spmm_dense_csr_fused_uniform(
+                    xin.data(), batch, m, pattern, uw, y, bias, clamp, l);
+              }, want_u, nz_u);
+              check("weighted gather", [&](float* y) {
+                return spmm_dense_csrT_fused(xin.data(), batch, m,
+                                             weighted_t, y, bias, clamp, l);
+              }, want_w, nz_w);
+              check("weighted scatter", [&](float* y) {
+                return spmm_dense_csr_fused(xin.data(), batch, m, weighted,
+                                            y, bias, clamp, l);
+              }, want_w, nz_w);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Spmm, TilePanelMatchesTheTiledLayoutAndCountsNonzeros) {
+  Rng rng(29);
+  for (index_t batch = 0; batch <= 17; ++batch) {
+    const index_t width = 13;
+    auto x = random_dense(static_cast<std::size_t>(batch) * width, rng);
+    std::uint64_t want_nz = 0;
+    for (auto& v : x) {
+      if (v < -0.4f) v = 0.0f;
+      want_nz += v != 0.0f ? 1 : 0;
+    }
+    const auto want = to_layout(x, batch, width, PanelLayout::kTiled);
+    std::vector<float> got(x.size(), -3.0f);
+    EXPECT_EQ(tile_panel(x.data(), batch, width, got.data()), want_nz)
+        << "batch " << batch;
+    EXPECT_EQ(got, want) << "batch " << batch;
   }
 }
 

@@ -148,20 +148,12 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
 
   // Every layer reads a tiled panel (sparse/spmm.hpp): the caller's
   // row-major batch is copied tiled into panel 1, which layer 0 reads
-  // while it writes panel 0.  A 1-row batch is its own tiled layout and
-  // is read in place.  The input's nonzero count, from the same pass,
-  // seeds the density signal for the first layer's dispatch; every
-  // later layer gets it free from the fused epilogue.
-  const index_t in_width = input_width();
-  const float* cur = input;
-  std::uint64_t nz = 0;
-  if (batch > 1) {
-    float* staged = workspace.panel(1);
-    nz = tile_panel(input, batch, in_width, staged);
-    cur = staged;
-  } else {
-    nz = count_nonzeros(input, static_cast<std::size_t>(batch) * in_width);
-  }
+  // while it writes panel 0.  The input's nonzero count, from the same
+  // pass, seeds the density signal for the first layer's dispatch;
+  // every later layer gets it free from the fused epilogue.
+  std::uint64_t nz =
+      tile_panel(input, batch, input_width(), workspace.panel(1));
+  const float* cur = workspace.panel(1);
 
   // The activations between layers stay tiled, and the last layer
   // writes row-major for the caller.

@@ -50,8 +50,7 @@
 //     instead of kBatchTile row-major lines.  forward copies the
 //     caller's row-major batch into panel 1 in that layout, in parallel
 //     over tiles, counting its nonzeros (the first layer's dispatch
-//     density) in the same pass; a 1-row batch is already tiled and is
-//     read in place;
+//     density) in the same pass;
 //   * the activations between layers stay tiled;
 //   * the last layer writes row-major, so forward's result span is the
 //     same [batch x output_width] row-major matrix as ever.
@@ -184,8 +183,7 @@ class SparseDnn {
   /// returned span of final activations [batch x output_width] is
   /// row-major, aliases workspace memory and stays valid until the
   /// workspace is next written.  The input batch is copied once, tiled,
-  /// into a panel (a 1-row batch is read in place), so `input` must not
-  /// alias the workspace.
+  /// into a panel, so `input` must not alias the workspace.
   std::span<const float> forward(const float* input, index_t batch,
                                  InferenceWorkspace& workspace,
                                  InferenceStats* stats = nullptr) const;

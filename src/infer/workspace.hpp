@@ -3,9 +3,8 @@
 // A forward pass needs exactly two activation panels of
 // batch x max_width floats, where max_width (SparseDnn::max_width)
 // covers the input width and every layer's output width: forward first
-// copies the caller's input batch, tiled, into panel 1 (a 1-row batch
-// is already tiled and is read in place), then layer k reads one panel
-// and writes the other, ping-ponging down the stack.
+// copies the caller's input batch, tiled, into panel 1, then layer k
+// reads one panel and writes the other, ping-ponging down the stack.
 // InferenceWorkspace owns those panels and grows them monotonically,
 // so a caller that reuses one workspace across repeated forward calls
 // of the same shape performs zero heap allocations in steady state --

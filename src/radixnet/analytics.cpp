@@ -28,16 +28,6 @@ std::uint64_t checked_add(std::uint64_t a, std::uint64_t b,
   return r;
 }
 
-// D_i * N' for every layer, overflow-checked.
-std::vector<std::uint64_t> checked_widths(const RadixNetSpec& spec,
-                                          const char* what) {
-  std::vector<std::uint64_t> w;
-  for (const std::uint32_t di : spec.dense_widths()) {
-    w.push_back(checked_mul(di, spec.n_prime(), what));
-  }
-  return w;
-}
-
 }  // namespace
 
 double exact_density(const RadixNetSpec& spec) {
@@ -99,7 +89,7 @@ std::uint64_t predicted_edge_count(const RadixNetSpec& spec) {
 std::uint64_t predicted_node_count(const RadixNetSpec& spec) {
   constexpr const char* kWhat = "predicted_node_count";
   std::uint64_t nodes = 0;
-  for (std::uint64_t w : checked_widths(spec, kWhat)) {
+  for (std::uint64_t w : spec.layer_widths()) {
     nodes = checked_add(nodes, w, kWhat);
   }
   return nodes;
@@ -115,7 +105,7 @@ std::uint64_t predicted_storage_bytes(const RadixNetSpec& spec) {
 
 std::uint64_t dense_edge_count(const RadixNetSpec& spec) {
   constexpr const char* kWhat = "dense_edge_count";
-  const auto w = checked_widths(spec, kWhat);
+  const auto w = spec.layer_widths();
   std::uint64_t e = 0;
   for (std::size_t i = 0; i + 1 < w.size(); ++i) {
     e = checked_add(e, checked_mul(w[i], w[i + 1], kWhat), kWhat);

@@ -67,7 +67,13 @@ std::vector<std::uint64_t> RadixNetSpec::layer_widths() const {
   std::vector<std::uint64_t> out;
   out.reserve(d_.size());
   for (std::uint32_t di : d_) {
-    out.push_back(static_cast<std::uint64_t>(di) * n_prime_);
+    std::uint64_t w = 0;
+    if (__builtin_mul_overflow(std::uint64_t{di}, n_prime_, &w)) {
+      throw SpecError("RadixNetSpec: layer width D_i * N' = " +
+                      std::to_string(di) + " * " + std::to_string(n_prime_) +
+                      " exceeds 64 bits");
+    }
+    out.push_back(w);
   }
   return out;
 }

@@ -44,7 +44,8 @@ class RadixNetSpec {
   /// Flattened radix list (N_1, ..., N_Mbar) used by eq. (4).
   std::vector<std::uint32_t> flattened_radices() const;
 
-  /// Node-layer widths of the resulting RadiX-Net: D_i * N'.
+  /// Node-layer widths of the resulting RadiX-Net: D_i * N'.  Throws
+  /// SpecError if a width does not fit 64 bits.
   std::vector<std::uint64_t> layer_widths() const;
 
   /// max(D_i) / N' -- the paper asks this to be << 1.

@@ -45,10 +45,19 @@ template <class Edge>
 void walk_window(index_t s, index_t stride, index_t degree, index_t modulus,
                  Edge&& edge) {
   // Inputs s + stride * t below the modulus form the high run.
+  //
+  // Both runs are unrolled 4 edges per trip.  A 1-lane edge is one load
+  // and one add, so a one-edge loop is only ~15 bytes and its speed
+  // hangs on where the linker puts it: straddling a 64-byte line, it
+  // ran a 1-row width-1024 forward ~1.5x slower on an AVX-512 Xeon.
+  // Four dependent adds per trip cover that fetch cost wherever the
+  // loop lands.
   const index_t high = std::min(degree, (modulus - s - 1) / stride + 1);
   std::size_t i = std::size_t{s} + std::size_t{stride} * high - modulus;
+#pragma GCC unroll 4
   for (index_t t = high; t < degree; ++t, i += stride) edge(i);
   i = s;
+#pragma GCC unroll 4
   for (index_t t = 0; t < high; ++t, i += stride) edge(i);
 }
 

@@ -492,15 +492,6 @@ std::uint64_t tile_panel(const float* x, index_t batch, index_t width,
       grain_for_cost(static_cast<std::int64_t>(kBatchTile) * width));
 }
 
-std::uint64_t count_nonzeros(const float* v, std::size_t n) {
-  return parallel_reduce_sum<std::uint64_t>(
-      0, static_cast<std::int64_t>(n),
-      [&](std::int64_t i) -> std::uint64_t {
-        return v[i] != 0.0f ? 1 : 0;
-      },
-      grain_for_cost(1));
-}
-
 void spmv(const Csr<float>& w, const float* x, float* y) {
   const auto& rowptr = w.rowptr();
   const auto& colind = w.colind();

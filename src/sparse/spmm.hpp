@@ -53,8 +53,7 @@
 // row-major call.  tile_panel copies a row-major panel into the tiled
 // layout; SparseDnn::forward uses it once for the input batch, so every
 // layer reads a tiled panel, and keeps the activations between layers
-// tiled (see infer/sparse_dnn.hpp).  A 1-row panel is the same in both
-// layouts.
+// tiled (see infer/sparse_dnn.hpp).
 //
 // The vector gather block
 // -----------------------
@@ -191,9 +190,6 @@ std::uint64_t spmm_dense_windows_fused_uniform(
 /// from the same pass.  x and out must not overlap.
 std::uint64_t tile_panel(const float* x, index_t batch, index_t width,
                          float* out);
-
-/// Number of nonzero entries of a dense float array (parallel reduction).
-std::uint64_t count_nonzeros(const float* v, std::size_t n);
 
 /// Sparse matrix times dense vector: y[r] = sum_c w(r,c) * x[c].
 void spmv(const Csr<float>& w, const float* x, float* y);

@@ -37,8 +37,8 @@ struct Payload {
 
 // The spec text of a spec-only artifact, parsed and size-checked: every
 // layer at most kMaxLayerWidth wide and at most kMaxSpecEdges edges in
-// all (predicted_edge_count, whose overflow counts as too many), so
-// nothing is allocated for a spec that asks for more.
+// all (layer_widths and predicted_edge_count, whose overflow counts as
+// too many), so nothing is allocated for a spec that asks for more.
 RadixNetSpec checked_spec(const std::string& text, const std::string& path) {
   std::optional<RadixNetSpec> spec;
   try {
@@ -47,18 +47,13 @@ RadixNetSpec checked_spec(const std::string& text, const std::string& path) {
     throw FormatError(path + ": " + e.what());
   }
   bool over = false;
-  for (const std::uint32_t di : spec->dense_widths()) {
-    std::uint64_t width = 0;
-    over |= __builtin_mul_overflow(std::uint64_t{di}, spec->n_prime(),
-                                   &width) ||
-            width > kMaxLayerWidth;
-  }
-  if (!over) {
-    try {
-      over = predicted_edge_count(*spec) > kMaxSpecEdges;
-    } catch (const SpecError&) {  // the count overflows 64 bits
-      over = true;
+  try {
+    for (const std::uint64_t width : spec->layer_widths()) {
+      over |= width > kMaxLayerWidth;
     }
+    over = over || predicted_edge_count(*spec) > kMaxSpecEdges;
+  } catch (const SpecError&) {  // a width or the count overflows 64 bits
+    over = true;
   }
   if (over) {
     throw FormatError(path + ": spec asks for a network larger than the "

@@ -146,6 +146,14 @@ TEST(Analytics, SizeCountsThrowInsteadOfWrapping) {
   EXPECT_EQ(predicted_storage_bytes(fits),
             (std::uint64_t{5} << 49) + (std::uint64_t{24} << 32));
   EXPECT_THROW((void)dense_edge_count(fits), SpecError);
+
+  // N' = 2^48 and D_2 = 2^16: the width D_2 * N' = 2^64 itself does not
+  // fit, so layer_widths and every count built on it throw.
+  const auto wide = make_spec({{65536, 65536, 65536}}, {1, 1, 65536, 1});
+  EXPECT_THROW((void)wide.layer_widths(), SpecError);
+  EXPECT_THROW((void)predicted_node_count(wide), SpecError);
+  EXPECT_THROW((void)dense_edge_count(wide), SpecError);
+  EXPECT_THROW((void)predicted_edge_count(wide), SpecError);
 }
 
 }  // namespace

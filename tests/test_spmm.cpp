@@ -653,11 +653,5 @@ TEST(Spmm, TilePanelMatchesTheTiledLayoutAndCountsNonzeros) {
   }
 }
 
-TEST(Spmm, CountNonzeros) {
-  std::vector<float> v = {0.0f, 1.0f, -2.0f, 0.0f, 0.5f};
-  EXPECT_EQ(count_nonzeros(v.data(), v.size()), 3u);
-  EXPECT_EQ(count_nonzeros(nullptr, 0), 0u);
-}
-
 }  // namespace
 }  // namespace radix

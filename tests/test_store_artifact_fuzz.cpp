@@ -378,6 +378,9 @@ TEST(ArtifactSpecCap, OversizedSpecsAreRefusedBeforeBuilding) {
   // Widths whose product with N' overflows 64 bits.
   refused(RadixNetSpec({MixedRadix({65536, 65536})},
                        {1, 0xffffffffu, 0xffffffffu}));
+  // A width D_i * N' = 2^16 * 2^48 that itself overflows 64 bits.
+  refused(RadixNetSpec({MixedRadix({65536, 65536, 65536})},
+                       {1, 1, 65536, 1}));
   // The same spec within the caps builds and runs.
   save_small_spec(path, RadixNetSpec({MixedRadix({16, 16})}, {1, 2, 1}));
   const store::ArtifactReader reader(path);

@@ -1,7 +1,10 @@
 // E12 -- RadiX-Net construction performance (google-benchmark):
 // generation throughput (edges/second materialized) vs width and depth.
-// Expected shape: linear in output edge count -- construction is a
-// streaming CSR build with no super-linear step.
+// Expected shape: linear in output edge count -- every layer is written
+// once, straight into its final CSR (radix_net_layers), and the
+// Graph-Challenge column shuffle is a counting fill in the same pass, so
+// no step is super-linear.  Layers are built in parallel, so the
+// numbers depend on OMP_NUM_THREADS.  A developer tool, not a gate.
 #include <benchmark/benchmark.h>
 
 #include "radixnet/builder.hpp"
@@ -44,6 +47,26 @@ BENCHMARK(BM_BuildGraphChallenge)
     ->Args({1024, 12})
     ->Args({1024, 120})
     ->Args({4096, 12});
+
+// The seeded challenge network as the perfbench workloads build it:
+// permutations drawn, weights and the shuffle written in one pass.
+void BM_BuildChallengeNetwork(benchmark::State& state) {
+  const index_t neurons = static_cast<index_t>(state.range(0));
+  const std::size_t layers = static_cast<std::size_t>(state.range(1));
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    Rng rng(1);
+    const auto net = gc::network(neurons, layers, &rng);
+    edges = 0;
+    for (const auto& l : net.layers) edges += l.nnz();
+    benchmark::DoNotOptimize(net.layers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * edges);
+}
+BENCHMARK(BM_BuildChallengeNetwork)
+    ->Args({4096, 24})
+    ->Args({16384, 12})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildWithKronecker(benchmark::State& state) {
   const std::uint32_t d_width = static_cast<std::uint32_t>(state.range(0));

@@ -169,12 +169,12 @@ class SparseDnn {
   /// already in the zero-allocation steady state: eagerly builds the
   /// gather cache (shared by all workspaces: a window table for each
   /// implicit layer, found in one pass over the layer's CSR, and a
-  /// transposed copy for every other layer), and, when the hint carries
-  /// a workspace,
-  /// sizes its panels for hint.max_batch rows and reserves its dispatch
-  /// trace.  Serving engines call this from model registration so the
-  /// first request never pays construction latency; thread-safe like
-  /// forward.
+  /// transposed copy for every other layer; a large model builds the
+  /// missing entries in parallel over layers), and, when the hint
+  /// carries a workspace, sizes its panels for hint.max_batch rows and
+  /// reserves its dispatch trace.  Serving engines call this from model
+  /// registration so the first request never pays construction latency;
+  /// thread-safe like forward.
   void prewarm(const WorkspaceHint& hint = {}) const;
 
   /// Zero-allocation forward: runs the full stack over the row-major
@@ -210,6 +210,8 @@ class SparseDnn {
   using GatherLayer = std::variant<RadixWindows, Csr<float>>;
 
   void validate_and_index();
+  // Layer k's gather source, built from its CSR (no caching, no lock).
+  std::unique_ptr<const GatherLayer> build_gather(std::size_t k) const;
   const GatherLayer& gather(std::size_t k) const;
 
   // Owned layers (empty when borrowing); views_ is the single source of
@@ -226,8 +228,9 @@ class SparseDnn {
   std::vector<char> layer_uniform_;
   std::vector<float> uniform_weight_;
   // Lazily built, cached gather sources, one per layer; the mutex
-  // serializes cache fills so concurrent forward calls on one instance
-  // (each with its own workspace) stay safe.
+  // guards the slots, so concurrent forward calls on one instance (each
+  // with its own workspace) stay safe.  gather(k) fills a slot under
+  // it; prewarm builds outside it and publishes into empty slots only.
   mutable std::mutex gather_mutex_;
   mutable std::vector<std::unique_ptr<const GatherLayer>> gather_;
 };

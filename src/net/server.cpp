@@ -162,13 +162,26 @@ struct Server::Connection {
   std::mutex m;
   bool open = true;        // guarded by m; flipped once, before fd close
   bool want_write = false; // event-loop-only: EPOLLOUT currently armed
+  bool read_closed = false;  // event-loop-only: the peer sent its EOF
   std::vector<std::uint8_t> inbuf;   // event-loop-only
   std::vector<std::uint8_t> outbuf;  // guarded by m
   std::size_t out_off = 0;           // guarded by m
+  // Response frames not yet queued: one per parsed frame, plus one
+  // kResult per submit the backend may still complete.  Guarded by m.
+  std::int64_t owed = 0;
 
   bool has_output() {
     std::scoped_lock lock(m);
     return out_off < outbuf.size();
+  }
+  void owe(std::int64_t frames) {
+    std::scoped_lock lock(m);
+    owed += frames;
+  }
+  /// Every owed response is queued and written.
+  bool answered() {
+    std::scoped_lock lock(m);
+    return owed == 0 && out_off == outbuf.size();
   }
 };
 
@@ -189,6 +202,7 @@ bool Server::WakeState::deliver(Connection& conn,
                                 std::span<const std::uint8_t> frame) {
   {
     std::scoped_lock lock(conn.m);
+    --conn.owed;
     if (!conn.open) {
       orphaned.fetch_add(1);
       return false;
@@ -351,6 +365,7 @@ void Server::event_loop() {
       if (!conn) continue;
       // A hang-up or error is read like EPOLLIN first, so the frames
       // that arrived before it still run; then the connection closes.
+      // A plain EOF (a half-closed peer) keeps it open for writing.
       const auto ev = events[i].events;
       bool ok = (ev & (EPOLLHUP | EPOLLERR)) == 0;
       if (ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) ok = handle_readable(conn) && ok;
@@ -366,8 +381,11 @@ void Server::event_loop() {
       snapshot.reserve(connections_.size());
       for (auto& [fd, conn] : connections_) snapshot.push_back(conn);
     }
+    // A half-closed peer is closed once it has every response.
     for (auto& conn : snapshot) {
       if (conn->has_output() && !handle_writable(conn)) {
+        close_connection(conn);
+      } else if (conn->read_closed && conn->answered()) {
         close_connection(conn);
       }
     }
@@ -400,23 +418,28 @@ void Server::accept_new() {
 }
 
 bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
-  // Frames that arrived before an EOF or error still run; only then
-  // does the connection close (their responses are orphaned).
-  bool open = true;
-  while (open) {
+  // Frames that arrived before an EOF or error still run.  After an EOF
+  // the peer has only half-closed: the connection stops reading but
+  // stays open until every response it is owed is written (event_loop
+  // closes it then).  A read error (a reset) or an oversized backlog
+  // closes it at once, and responses still to come are orphaned.
+  bool ok = true;
+  while (ok && !conn->read_closed) {
     IoStatus status;
     try {
       status = read_some(conn->fd, conn->inbuf);
     } catch (const IoError&) {
-      status = IoStatus::kClosed;
+      ok = false;
+      break;
     }
     if (status == IoStatus::kWouldBlock) break;
-    open = status != IoStatus::kClosed &&
-           conn->inbuf.size() <= 2 * kMaxFrameBytes;
+    conn->read_closed = status == IoStatus::kClosed;
+    ok = conn->inbuf.size() <= 2 * kMaxFrameBytes;
   }
   try {
     while (auto frame = try_parse_frame(conn->inbuf)) {
       if (frame->type == MsgType::kSubmit) submits_parsed_.fetch_add(1);
+      conn->owe(1);  // its ack, reply or error
       std::scoped_lock lock(mutex_);
       jobs_.push_back(Job{conn, std::move(*frame)});
       job_cv_.notify_one();
@@ -424,7 +447,17 @@ bool Server::handle_readable(const std::shared_ptr<Connection>& conn) {
   } catch (const IoError&) {
     return false;  // corrupt framing: protocol violation, drop the peer
   }
-  return open;
+  // An EOF stays readable: stop polling for input.
+  if (ok && conn->read_closed) watch(*conn);
+  return ok;
+}
+
+void Server::watch(Connection& conn) {
+  epoll_event ev{};
+  ev.events = (conn.read_closed ? 0u : EPOLLIN) |
+              (conn.want_write ? EPOLLOUT : 0u);
+  ev.data.fd = conn.fd.get();
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
 }
 
 bool Server::handle_writable(const std::shared_ptr<Connection>& conn) {
@@ -445,10 +478,7 @@ bool Server::handle_writable(const std::shared_ptr<Connection>& conn) {
   const bool want = conn->out_off < conn->outbuf.size();
   if (want != conn->want_write) {
     conn->want_write = want;
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-    ev.data.fd = conn->fd.get();
-    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn->fd.get(), &ev);
+    watch(*conn);
   }
   return true;
 }
@@ -672,10 +702,19 @@ void Server::execute_submit(const std::shared_ptr<Connection>& conn,
                                             body));
   };
 
-  serve::SubmitResult result =
-      backend_.submit(serve::InferenceRequest::owned(model, std::move(input),
-                                                     rows),
-                      std::move(opts));
+  // The kResult is owed from here: `done` queues it once an admitted
+  // request completes, and a rejected or failed submit never completes.
+  conn->owe(1);
+  serve::SubmitResult result;
+  try {
+    result = backend_.submit(
+        serve::InferenceRequest::owned(model, std::move(input), rows),
+        std::move(opts));
+  } catch (...) {
+    conn->owe(-1);
+    throw;
+  }
+  if (!result.admitted()) conn->owe(-1);
   // NOTE: a shed-inside-submit completion has already enqueued its
   // kResult by this point -- the ack below legitimately trails it on
   // the wire (see net/wire.hpp).

@@ -24,6 +24,10 @@
 //     flag and drop the frame -- orphaned responses are dropped, never
 //     written to a reused fd and never leaked (the capsule dies with
 //     the shared_ptr).
+//   * A HALF-CLOSED client (shutdown(SHUT_WR) after its last request)
+//     still gets every response: an EOF stops the reading, and the
+//     connection closes once every frame parsed from it has had its
+//     response written, or once the peer resets.
 //
 // The server does NOT own the backend: radix-served composes
 // (models -> Engine/ShardRouter -> Server) and tears down in reverse.
@@ -159,6 +163,9 @@ class Server {
   /// Drain readable bytes + parse frames into jobs; false = close conn.
   bool handle_readable(const std::shared_ptr<Connection>& conn);
   bool handle_writable(const std::shared_ptr<Connection>& conn);
+  /// Set the connection's epoll interest: input until its EOF, output
+  /// while bytes are pending.  Event loop only.
+  void watch(Connection& conn);
   void close_connection(const std::shared_ptr<Connection>& conn);
 
   /// Execute one decoded frame (submit pool).

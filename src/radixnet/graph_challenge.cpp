@@ -1,8 +1,6 @@
 #include "radixnet/graph_challenge.hpp"
 
 #include "radixnet/builder.hpp"
-#include "sparse/permutation.hpp"
-#include "sparse/spgemm.hpp"
 #include "support/error.hpp"
 
 namespace radix::gc {
@@ -67,26 +65,28 @@ Fnnt topology(index_t neurons, std::size_t num_layers) {
 }
 
 Network network(index_t neurons, std::size_t num_layers, Rng* rng) {
-  const Fnnt topo = topology(neurons, num_layers);
+  const RadixNetSpec s = spec(neurons, num_layers);
   const auto base = base_system(neurons).front();
+  std::vector<float> weights(num_layers);
+  for (std::size_t i = 0; i < num_layers; ++i) {
+    weights[i] = weight_for_indegree(base[i % base.size()]);
+  }
+  // Shuffle destination neuron ids: W <- W * Pi.  Row structure (one
+  // source's fan-out) is preserved; the axis alignment of the radix
+  // pattern is destroyed, as in the published challenge networks.  Every
+  // permutation is drawn in layer order before the parallel fill, so a
+  // seed names one network bit for bit.
+  std::vector<std::vector<index_t>> shuffles;
+  if (rng != nullptr) {
+    shuffles.reserve(num_layers);
+    for (std::size_t i = 0; i < num_layers; ++i) {
+      shuffles.push_back(rng->permutation(neurons));
+    }
+  }
   Network net;
   net.neurons = neurons;
   net.bias = bias_for_width(neurons);
-  net.layers.reserve(topo.depth());
-  for (std::size_t i = 0; i < topo.depth(); ++i) {
-    const float w = weight_for_indegree(base[i % base.size()]);
-    Csr<pattern_t> layer = topo.layer(i);
-    if (rng != nullptr) {
-      // Shuffle destination neuron ids: W <- W * Pi.  Row structure (one
-      // source's fan-out) is preserved; the axis alignment of the radix
-      // pattern is destroyed, as in the published challenge networks.
-      std::vector<index_t> perm(layer.cols());
-      const auto p32 = rng->permutation(layer.cols());
-      for (std::size_t k = 0; k < perm.size(); ++k) perm[k] = p32[k];
-      layer = spgemm_bool(layer, permutation_matrix(perm));
-    }
-    net.layers.push_back(layer.map<float>([w](pattern_t) { return w; }));
-  }
+  net.layers = radix_net_layers<float>(s, weights, shuffles);
   return net;
 }
 

@@ -68,7 +68,11 @@ struct Network {
 /// Assemble the weighted network.  When `rng` is non-null, each layer's
 /// columns are randomly permuted (the challenge shuffles neuron ids so
 /// the structure is not axis-aligned); determinism comes from the rng
-/// seed.
+/// seed.  One pass per layer (radix_net_layers, radixnet/builder.hpp)
+/// writes the float weights and the shuffle straight into the final
+/// CSR, in time linear in the edge count, with the layers built in
+/// parallel.  The permutations are drawn in layer order first, so the
+/// network is the same for a seed at any thread count.
 Network network(index_t neurons, std::size_t num_layers,
                 Rng* rng = nullptr);
 

@@ -150,11 +150,14 @@ struct CsrRows {
   std::span<const index_t> colind;
   std::span<const float> vals;
 
+  // Unrolled 4 edges per trip, as walk_window is (radix_windows.hpp):
+  // a one-edge loop's speed hangs on where the linker places it.  The
+  // edges still run in order, so sums are unchanged.
   template <class Edge>
   void for_each_input(index_t r, Edge&& edge) const {
-    for (offset_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
-      edge(colind[k], vals[k]);
-    }
+    const offset_t end = rowptr[r + 1];
+#pragma GCC unroll 4
+    for (offset_t k = rowptr[r]; k < end; ++k) edge(colind[k], vals[k]);
   }
 };
 

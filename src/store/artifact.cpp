@@ -9,7 +9,6 @@
 #include <cstring>
 #include <optional>
 
-#include "graph/fnnt.hpp"
 #include "radixnet/analytics.hpp"
 #include "radixnet/builder.hpp"
 #include "radixnet/serialize.hpp"
@@ -418,22 +417,18 @@ infer::SparseDnn ArtifactReader::instantiate() const {
     }
     const std::string text(reinterpret_cast<const char*>(payload(spec_sec)),
                            spec_sec.size);
-    const Fnnt topo = build_radix_net(checked_spec(text, path_));
-    if (topo.depth() != layer_count_) {
+    const RadixNetSpec spec = checked_spec(text, path_);
+    if (spec.total_radices() != layer_count_) {
       throw FormatError(path_ + ": spec builds " +
-                        std::to_string(topo.depth()) +
+                        std::to_string(spec.total_radices()) +
                         " layers, meta declares " +
                         std::to_string(layer_count_));
     }
     const auto* weights = reinterpret_cast<const float*>(payload(w_sec));
-    std::vector<Csr<float>> layers;
-    layers.reserve(layer_count_);
-    for (std::uint32_t k = 0; k < layer_count_; ++k) {
-      const float w = weights[k];
-      layers.push_back(
-          topo.layer(k).map<float>([w](pattern_t) { return w; }));
-    }
-    return infer::SparseDnn(std::move(layers), std::move(biases), clamp_);
+    return infer::SparseDnn(
+        radix_net_layers<float>(
+            spec, std::span<const float>(weights, layer_count_)),
+        std::move(biases), clamp_);
   }
 
   const SectionEntry& dims_sec = require(SectionKind::kLayerDims);

@@ -22,6 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <mutex>
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -72,6 +74,29 @@ void parallel_for(std::int64_t begin, std::int64_t end, const Body& body,
   (void)grain;
 #endif
   for (std::int64_t i = begin; i < end; ++i) body(i);
+}
+
+/// parallel_for for bodies that may throw (allocation, input checks).
+/// An exception must not leave an OpenMP region, so the first one thrown
+/// is kept and rethrown on the calling thread once every iteration has
+/// run.
+template <typename Body>
+void parallel_for_rethrow(std::int64_t begin, std::int64_t end,
+                          const Body& body, std::int64_t grain = 1024) {
+  std::mutex m;
+  std::exception_ptr first;
+  parallel_for(
+      begin, end,
+      [&](std::int64_t i) {
+        try {
+          body(i);
+        } catch (...) {
+          std::scoped_lock lock(m);
+          if (!first) first = std::current_exception();
+        }
+      },
+      grain);
+  if (first) std::rethrow_exception(first);
 }
 
 /// Parallel sum-reduction of `body(i)` over [begin, end).

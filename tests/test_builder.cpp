@@ -5,6 +5,7 @@
 
 #include "graph/properties.hpp"
 #include "radixnet/analytics.hpp"
+#include "radixnet_reference.hpp"
 #include "sparse/kron.hpp"
 #include "support/error.hpp"
 
@@ -171,6 +172,89 @@ TEST(Builder, NPrimeOverflowRejected) {
       std::vector<std::uint32_t>(33, 2))};  // 2^33 > 2^32-1
   const auto spec = RadixNetSpec::extended(std::move(sys));
   EXPECT_THROW(build_extended_mixed_radix(spec), SpecError);
+}
+
+// The one-pass emitter against the stage-wise Fig 6 composition
+// (tests/radixnet_reference.hpp), array for array.
+struct EmitCase {
+  std::vector<std::vector<std::uint32_t>> systems;
+  std::vector<std::uint32_t> d;
+};
+
+class EmitterMatchesReference : public ::testing::TestWithParam<EmitCase> {};
+
+TEST_P(EmitterMatchesReference, BuildRadixNet) {
+  const auto spec = make_spec(GetParam().systems, GetParam().d);
+  reference::expect_same_layers(build_radix_net(spec).layers(),
+                                reference::topology(spec), spec.to_string());
+  const auto emr = RadixNetSpec::extended(spec.systems());
+  reference::expect_same_layers(build_extended_mixed_radix(spec).layers(),
+                                reference::topology(emr), emr.to_string());
+}
+
+TEST_P(EmitterMatchesReference, WeightedAndShuffled) {
+  // Per-layer values and a column shuffle on every layer, D-blocks
+  // included: the linear shuffle equals W * permutation_matrix(perm).
+  const auto spec = make_spec(GetParam().systems, GetParam().d);
+  const auto widths = spec.layer_widths();
+  Rng rng(17);
+  std::vector<float> values;
+  std::vector<std::vector<index_t>> shuffles;
+  for (std::size_t i = 0; i < spec.total_radices(); ++i) {
+    values.push_back(0.25f * static_cast<float>(i + 1));
+    shuffles.push_back(
+        rng.permutation(static_cast<std::uint32_t>(widths[i + 1])));
+  }
+  reference::expect_same_layers(
+      radix_net_layers<float>(spec, values, shuffles),
+      reference::weighted(spec, values, shuffles), spec.to_string());
+  reference::expect_same_layers(radix_net_layers<float>(spec, values),
+                                reference::weighted(spec, values),
+                                spec.to_string() + " unshuffled");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, EmitterMatchesReference,
+    ::testing::Values(
+        // One system, D = 1.
+        EmitCase{{{2, 2, 2}}, {1, 1, 1, 1}},
+        // D_i > 1 on both sides of a layer, and D_0 > 1.
+        EmitCase{{{2, 2, 2}}, {2, 3, 1, 2}},
+        EmitCase{{{3, 3, 4}, {4, 3, 3}}, {2, 1, 1, 1, 1, 1, 3}},
+        EmitCase{{{2, 3}, {6}}, {1, 2, 4, 1}},
+        // Partial last system: product 4 (or 4, with D) divides N' = 8.
+        EmitCase{{{2, 2, 2}, {2, 2}}, {1, 1, 1, 1, 1, 1}},
+        EmitCase{{{2, 2, 2}, {4}}, {1, 2, 1, 3, 1}},
+        EmitCase{{{32, 32, 4}, {32, 2}}, {1, 1, 1, 1, 1, 1}},
+        // The Fig 5 example: D = (3, 5, 4, 2) around three one-digit
+        // systems.
+        EmitCase{{{6}, {6}, {6}}, {3, 5, 4, 2}}));
+
+TEST(Builder, EmitterRejectsBadShufflesAndValueCounts) {
+  const auto spec = make_spec({{2, 2}}, {1, 1, 1});
+  const std::vector<float> values = {1.0f, 1.0f};
+  const std::vector<index_t> ok = {3, 2, 1, 0};
+  const std::vector<index_t> dup = {3, 2, 1, 1};
+  const std::vector<index_t> out_of_range = {3, 2, 1, 4};
+  const std::vector<index_t> short_perm = {1, 0};
+  EXPECT_NO_THROW(radix_net_layers<float>(
+      spec, values, std::vector<std::vector<index_t>>{ok, ok}));
+  for (const auto& bad : {dup, out_of_range, short_perm}) {
+    EXPECT_THROW(radix_net_layers<float>(
+                     spec, values, std::vector<std::vector<index_t>>{ok, bad}),
+                 SpecError);
+  }
+  EXPECT_THROW(radix_net_layers<float>(
+                   spec, values, std::vector<std::vector<index_t>>{ok}),
+               SpecError);
+  EXPECT_THROW(radix_net_layers<float>(spec, std::vector<float>{1.0f}),
+               SpecError);
+}
+
+TEST(Builder, LayerWidthOverflowRejected) {
+  // D_1 * N' = 65537 * 65536 > 2^32 - 1: refused before any allocation.
+  const auto spec = make_spec({{256, 256}}, {1, 65537, 1});
+  EXPECT_THROW(build_radix_net(spec), SpecError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "graph/properties.hpp"
 #include "radixnet/analytics.hpp"
+#include "radixnet_reference.hpp"
 #include "support/error.hpp"
 
 namespace radix {
@@ -145,6 +146,42 @@ TEST(GraphChallenge, LargerWidthsBuild) {
   EXPECT_EQ(layer_degree_stats(g.layer(1)).max_out, 32u);
   EXPECT_EQ(layer_degree_stats(g.layer(2)).max_out, 4u);
 }
+
+// gc::network against the stage-wise composition (mrt_submatrix, then
+// spgemm_bool with permutation_matrix, then map to the weights) at every
+// supported width, unseeded and under three seeds.
+struct NetworkCase {
+  index_t neurons;
+  std::size_t layers;
+};
+
+class NetworkMatchesReference : public ::testing::TestWithParam<NetworkCase> {
+};
+
+TEST_P(NetworkMatchesReference, UnseededAndSeeded) {
+  const auto [neurons, layers] = GetParam();
+  const std::string what = "gc(" + std::to_string(neurons) + ", " +
+                           std::to_string(layers) + ")";
+  reference::expect_same_layers(
+      gc::network(neurons, layers).layers,
+      reference::challenge_network(neurons, layers, nullptr),
+      what + " unseeded");
+  for (const std::uint64_t seed : {1u, 5u, 31u}) {
+    Rng a(seed), b(seed);
+    reference::expect_same_layers(
+        gc::network(neurons, layers, &a).layers,
+        reference::challenge_network(neurons, layers, &b),
+        what + " seed " + std::to_string(seed));
+    // Both drew the same permutations, so the streams stay in step.
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, NetworkMatchesReference,
+                         ::testing::Values(NetworkCase{1024, 4},
+                                           NetworkCase{4096, 6},
+                                           NetworkCase{16384, 3},
+                                           NetworkCase{65536, 3}));
 
 }  // namespace
 }  // namespace radix

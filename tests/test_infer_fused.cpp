@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 // The replacement operator new below is malloc-backed, so pairing it
@@ -603,6 +604,35 @@ TEST(SparseDnnFused, PrewarmMakesFirstForwardZeroAllocation) {
   (void)dnn.forward(x.data(), batch, ws);
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
+}
+
+TEST(SparseDnnFused, PrewarmRacingForwardsStaysBitExact) {
+  // prewarm builds the gather entries outside the cache mutex (in
+  // parallel at this size) and publishes only into empty slots, while
+  // forwards fill slots lazily under the mutex.  Every forward must stay
+  // bit-exact.  One non-uniform layer makes a transpose entry race too.
+  Rng rng(3);
+  auto net = gc::network(4096, 24, &rng);
+  net.layers[2].values()[0] *= 2.0f;
+  const auto x = gc::synthetic_input(8, 4096, 0.4, rng);
+  const auto want =
+      infer::SparseDnn(net.layers, net.bias, gc::kClamp).forward(x, 8);
+  for (int round = 0; round < 3; ++round) {
+    const infer::SparseDnn dnn(net.layers, net.bias, gc::kClamp);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&] {
+        if (dnn.forward(x, 8) != want) ++mismatches;
+      });
+    }
+    dnn.prewarm();
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    EXPECT_FALSE(dnn.layer_implicit(2));
+    EXPECT_TRUE(dnn.layer_implicit(3));
+    EXPECT_EQ(dnn.forward(x, 8), want) << "round " << round;
+  }
 }
 
 TEST(SparseDnnFused, WorkspaceGrowsMonotonically) {

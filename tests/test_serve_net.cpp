@@ -12,11 +12,13 @@
 #include <linux/sockios.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -643,6 +645,72 @@ TEST(ServeNet, HalfCloseStillRunsEveryBufferedSubmit) {
   }
   EXPECT_EQ(s.engine->stats(0).requests, kSubmits)
       << "submits sent before the close were dropped";
+}
+
+TEST(ServeNet, HalfClosedClientReadsEveryResponse) {
+  // A client that writes its submits, half-closes and only then reads:
+  // the EOF must not cost it one response, and the server closes the
+  // connection once the last one is written.
+  Served s = engine_served();
+  constexpr std::uint64_t kSubmits = 32;
+  Rng irng(83);
+  std::vector<std::vector<float>> inputs;
+  Fd fd = connect_tcp(s.server->port());
+  for (std::uint64_t i = 0; i < kSubmits; ++i) {
+    inputs.push_back(gc::synthetic_input(1, 1024, 0.4, irng));
+    std::vector<std::uint8_t> body;
+    WireWriter w(body);
+    w.u64(0);                                  // model
+    w.u32(1);                                  // rows
+    w.i64(serve::Admission::kBlock.count());  // admission budget
+    w.i64(0);                                  // deadline
+    w.u64(0);                                  // trace id
+    w.floats(inputs.back());
+    send_frame(fd, MsgType::kSubmit, i, body);
+  }
+  ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+  // A server that never closes fails the read below instead of hanging.
+  const timeval timeout{.tv_sec = 10, .tv_usec = 0};
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  std::uint64_t acks = 0;
+  std::vector<int> results(kSubmits, 0);
+  for (;;) {
+    std::optional<Frame> frame;
+    ASSERT_NO_THROW(frame = recv_frame(fd)) << "server neither answered "
+                                               "nor closed";
+    if (!frame) break;  // the server closed after the last response
+    ASSERT_LT(frame->correlation, kSubmits);
+    WireReader r(frame->body);
+    if (frame->type == MsgType::kSubmitAck) {
+      EXPECT_EQ(r.u8(), 1) << "submit " << frame->correlation
+                           << " not admitted";
+      ++acks;
+      continue;
+    }
+    ASSERT_EQ(frame->type, MsgType::kResult);
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(WireErrorKind::kNone));
+    (void)r.str();  // error message
+    (void)r.f64();  // queue seconds
+    (void)r.f64();  // total seconds
+    (void)r.u32();  // batch rows
+    (void)r.u64();  // request id
+    EXPECT_EQ(r.floats(), direct_forward(*s.dnn, inputs[frame->correlation], 1))
+        << "submit " << frame->correlation;
+    ++results[frame->correlation];
+  }
+  EXPECT_EQ(acks, kSubmits);
+  EXPECT_EQ(results, std::vector<int>(kSubmits, 1));
+
+  s.server->stop();  // joins the submit pool: every outcome is counted
+  const Server::SubmitOutcomes c = s.server->submit_outcomes();
+  EXPECT_EQ(c.parsed, kSubmits);
+  EXPECT_EQ(c.acked, kSubmits);
+  EXPECT_EQ(c.rejected, 0u);
+  EXPECT_EQ(c.orphaned, 0u);
+  EXPECT_EQ(s.server->orphaned_responses(), 0u);
 }
 
 TEST(ServeNet, LocalShutdownDrainsAndStopsAdmitting) {

@@ -28,6 +28,7 @@
 
 #include "infer/sparse_dnn.hpp"
 #include "radixnet/graph_challenge.hpp"
+#include "radixnet_reference.hpp"
 #include "store/format.hpp"
 #include "support/error.hpp"
 #include "support/random.hpp"
@@ -177,6 +178,45 @@ TEST_F(StoreArtifactTest, SpecOnlyRoundTripIsBitExact) {
   ASSERT_EQ(want.size(), got.size());
   EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                            want.size() * sizeof(float)));
+}
+
+TEST_F(StoreArtifactTest, SpecOnlyInstantiateMatchesFullCsrOfTheSameNetwork) {
+  // The spec-only loader regenerates the layers; the full-CSR artifact
+  // carries the stage-wise reference composition's edges.  Cases: D-blocks
+  // with a partial last system and per-layer weights, and a challenge
+  // spec with its in-degree weights.
+  struct Case {
+    RadixNetSpec spec;
+    std::vector<float> weights;
+  };
+  const Case cases[] = {
+      {RadixNetSpec({MixedRadix({4, 4}), MixedRadix({2, 2})},
+                    {1, 2, 1, 3, 1}),
+       {0.5f, 0.25f, 0.125f, 1.0f}},
+      {gc::spec(4096, 6),
+       {0.0625f, 0.0625f, 0.5f, 0.0625f, 0.0625f, 0.5f}},
+  };
+  for (const Case& c : cases) {
+    const std::vector<float> biases(c.weights.size(), -0.25f);
+    const std::string full_path = path("full.radixart");
+    const std::string spec_path = path("spec.radixart");
+    store::save_artifact(
+        full_path,
+        infer::SparseDnn(reference::weighted(c.spec, c.weights), biases,
+                         gc::kClamp),
+        "full");
+    store::save_spec_artifact(spec_path, c.spec, c.weights, biases,
+                              gc::kClamp, "spec");
+    const auto full = ArtifactReader(full_path).instantiate();
+    const auto regenerated = ArtifactReader(spec_path).instantiate();
+    ASSERT_EQ(regenerated.depth(), full.depth());
+    EXPECT_EQ(regenerated.biases(), full.biases());
+    for (std::size_t k = 0; k < full.depth(); ++k) {
+      reference::expect_same_csr(
+          regenerated.layer_view(k), full.layer_view(k),
+          c.spec.to_string() + " layer " + std::to_string(k));
+    }
+  }
 }
 
 TEST_F(StoreArtifactTest, FullCsrInstantiateIsZeroCopy) {

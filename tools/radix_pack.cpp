@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/fnnt.hpp"
 #include "infer/sparse_dnn.hpp"
 #include "radixnet/builder.hpp"
 #include "radixnet/serialize.hpp"
@@ -100,17 +99,15 @@ int main(int argc, char** argv) {
                                    ? basename_no_ext(spec_path)
                                    : args.get("name");
       const RadixNetSpec spec = load_spec(spec_path);
-      // Build even for --spec-only: validates the spec end to end and
-      // yields the edge-layer count the weight/bias tables need.
-      const Fnnt topo = build_radix_net(spec);
-      layers = topo.depth();
+      layers = spec.total_radices();
+      const std::vector<float> weights(layers, weight);
+      // Build even for --spec-only: validates the spec end to end.
+      std::vector<Csr<float>> stack = radix_net_layers<float>(spec, weights);
       if (args.get_bool("spec-only")) {
-        const std::vector<float> weights(layers, weight);
         const std::vector<float> biases(layers, bias);
         store::save_spec_artifact(out, spec, weights, biases, clamp, name);
       } else {
-        const infer::SparseDnn dnn(weighted(topo.layers(), weight), bias,
-                                   clamp);
+        const infer::SparseDnn dnn(std::move(stack), bias, clamp);
         store::save_artifact(out, dnn, name);
       }
     }

@@ -208,31 +208,28 @@ std::span<const float> SparseDnn::forward(const float* input, index_t batch,
       choice = density <= kGatherDensityThreshold ? Kernel::kScatter
                                                   : Kernel::kGather;
     }
-    const PanelLayouts layouts{
-        .in = PanelLayout::kTiled,
-        .out = k + 1 == views_.size() ? PanelLayout::kRowMajor
-                                      : PanelLayout::kTiled};
+    const PanelLayout out = k + 1 == views_.size() ? PanelLayout::kRowMajor
+                                                   : PanelLayout::kTiled;
     float* dst = workspace.panel(out_panel);
     const bool uniform = layer_uniform_[k] != 0;
     if (choice == Kernel::kScatter) {
       nz = uniform ? spmm_dense_csr_fused_uniform(cur, batch, w.rows(), w,
                                                   uniform_weight_[k], dst,
-                                                  biases_[k], clamp_, layouts)
+                                                  biases_[k], clamp_, out)
                    : spmm_dense_csr_fused(cur, batch, w.rows(), w, dst,
-                                          biases_[k], clamp_, layouts);
+                                          biases_[k], clamp_, out);
     } else if (const GatherLayer& g = gather(k);
                const auto* win = std::get_if<RadixWindows>(&g)) {
       nz = spmm_dense_windows_fused_uniform(cur, batch, w.rows(), *win,
                                             uniform_weight_[k], dst,
-                                            biases_[k], clamp_, layouts);
+                                            biases_[k], clamp_, out);
     } else {
       const Csr<float>& wt = std::get<Csr<float>>(g);
       nz = uniform ? spmm_dense_csrT_fused_uniform(cur, batch, w.rows(), wt,
                                                    uniform_weight_[k], dst,
-                                                   biases_[k], clamp_,
-                                                   layouts)
+                                                   biases_[k], clamp_, out)
                    : spmm_dense_csrT_fused(cur, batch, w.rows(), wt, dst,
-                                           biases_[k], clamp_, layouts);
+                                           biases_[k], clamp_, out);
     }
     const auto layer_end = std::chrono::steady_clock::now();
     workspace.dispatch_.push_back(

@@ -43,20 +43,21 @@
 // Panel layout is fixed by a layer's position in the stack, not by an
 // option (PanelLayout, sparse/spmm.hpp):
 //
-//   * every layer reads a *tiled* panel: each kBatchTile-row tile
-//     stores a column's lanes contiguously, so one edge is one 32-byte
-//     load in the gather arm (two 4-float vector adds, see "The vector
-//     gather block" in spmm.hpp) and one cache line in the scatter arm
-//     instead of kBatchTile row-major lines.  forward copies the
-//     caller's row-major batch into panel 1 in that layout, in parallel
-//     over tiles, counting its nonzeros (the first layer's dispatch
-//     density) in the same pass;
+//   * every layer reads a *tiled* panel, the only input layout the
+//     fused kernels take: each kBatchTile-row tile stores a column's
+//     lanes contiguously, so one edge is one 32-byte load in the gather
+//     arm (two 4-float vector adds, see "The vector gather block" in
+//     spmm.hpp) and one cache line in the scatter arm instead of
+//     kBatchTile row-major lines.  forward copies the caller's
+//     row-major batch into panel 1 in that layout, in parallel over
+//     tiles, counting its nonzeros (the first layer's dispatch density)
+//     in the same pass;
 //   * the activations between layers stay tiled;
 //   * the last layer writes row-major, so forward's result span is the
 //     same [batch x output_width] row-major matrix as ever.
 //
-// Layout changes addresses only: results are bit-identical to an
-// all-row-major pass.
+// Layout changes addresses only: a kernel writes the same bits in
+// either output layout.
 // Concurrent forward calls on one SparseDnn instance are safe as long
 // as each caller brings its own workspace (the lazy gather cache is
 // mutex-guarded).

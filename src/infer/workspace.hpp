@@ -11,10 +11,11 @@
 // the property the Graph-Challenge edges/second metric rewards.
 //
 // Every layer input is in the tiled layout of sparse/spmm.hpp
-// (PanelLayout::kTiled): the tile of L <= kBatchTile rows starting at
-// row t0 stores (t0 + j, c) at t0 * width + c * L + j.  A partial last
-// tile uses lane stride L, so a tiled panel is exactly batch x width
-// floats -- the same capacity as a row-major one.  Only the last
+// (PanelLayout::kTiled), the only input layout of the fused kernels:
+// the tile of L <= kBatchTile rows starting at row t0 stores (t0 + j, c)
+// at t0 * width + c * L + j.  A partial last tile uses lane stride L, so
+// a tiled panel is exactly batch x width floats -- the same capacity as
+// a row-major one.  Only the last
 // layer's panel, the one forward returns, is row-major.  The panels
 // are 64-byte aligned, so a full tile's 8 lanes of one column sit in
 // one cache line.

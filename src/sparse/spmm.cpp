@@ -27,7 +27,9 @@ inline float epilogue(float v, float scale, float bias, float clamp) {
 // of the two strides is the compile-time constant 1 (columns in a
 // row-major tile, lanes in a tiled one), so a tiled tile's lanes for one
 // column are contiguous and vectorize into one load.  The tile occupies
-// panel[t0*width, (t0+L)*width) in both layouts.
+// panel[t0*width, (t0+L)*width) in both layouts.  A fused kernel's input
+// is always tiled; row-major tiles are the last layer's output and
+// tile_panel's source.
 template <PanelLayout kLayout, class T>
 struct Tile {
   T* base;             // panel + t0 * width
@@ -49,20 +51,18 @@ struct Tile {
   }
 };
 
-// Runs body.template operator()<In, Out>() for the runtime layout pair,
-// so each kernel body is written once over all four combinations.
+// Runs body.template operator()<Out>() for the runtime output layout,
+// so each kernel body is written once over both.  Every fused kernel
+// reads a tiled input.
 template <class Body>
-std::uint64_t dispatch_layouts(PanelLayouts layouts, const Body& body) {
-  using enum PanelLayout;
-  if (layouts.in == kRowMajor) {
-    return layouts.out == kRowMajor
-               ? body.template operator()<kRowMajor, kRowMajor>()
-               : body.template operator()<kRowMajor, kTiled>();
-  }
-  return layouts.out == kRowMajor
-             ? body.template operator()<kTiled, kRowMajor>()
-             : body.template operator()<kTiled, kTiled>();
+std::uint64_t dispatch_layout(PanelLayout out, const Body& body) {
+  return out == PanelLayout::kRowMajor
+             ? body.template operator()<PanelLayout::kRowMajor>()
+             : body.template operator()<PanelLayout::kTiled>();
 }
+
+// A tile of a fused kernel's input panel, which is always tiled.
+using InTile = Tile<PanelLayout::kTiled, const float>;
 
 // Shared body of the fused scatter kernels.  kUniform drops the
 // per-edge value load + multiply and defers the weight to the epilogue
@@ -71,7 +71,7 @@ std::uint64_t dispatch_layouts(PanelLayouts layouts, const Body& body) {
 // active tile row, after compacting the tile's nonzero activations so
 // ReLU-dead rows cost nothing in the inner loop.  With a tiled output
 // the active lanes of one scattered edge share one cache line.
-template <bool kUniform, PanelLayout kIn, PanelLayout kOut>
+template <bool kUniform, PanelLayout kOut>
 std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
                              CsrFloatView w, float scale, float* y,
                              float bias, float clamp) {
@@ -91,7 +91,7 @@ std::uint64_t csr_fused_impl(const float* x, index_t batch, index_t m,
       [&](std::int64_t t) -> std::uint64_t {
         const index_t b0 = static_cast<index_t>(t) * kBatchTile;
         const index_t rows = std::min(batch - b0, kBatchTile);
-        const Tile<kIn, const float> xt(x, b0, rows, m);
+        const InTile xt(x, b0, rows, m);
         const Tile<kOut, float> yt(y, b0, rows, n);
         float* const tile_lo = yt.base;
         float* const tile_hi = yt.base + static_cast<std::size_t>(rows) * n;
@@ -179,13 +179,11 @@ struct WindowRows {
 // One J-lane block (lanes j0 .. j0+J-1 of a tile) of the fused gather
 // kernel: J independent accumulator chains over output r's inputs,
 // epilogue applied in registers.  J is a compile-time constant so the
-// inner loops fully unroll.  This scalar block serves a row-major input
-// (the public kernel API) and the 2- and 1-lane remainders of a tiled
-// one; full 8- and 4-lane blocks of a tiled input take
+// inner loops fully unroll.  This scalar block serves the 2- and 1-lane
+// remainders of a partial tile; full 8- and 4-lane blocks take
 // gather_vector_block below.
-template <bool kUniform, int J, PanelLayout kIn, PanelLayout kOut,
-          class Source>
-std::uint64_t gather_fused_block(const Tile<kIn, const float>& xt,
+template <bool kUniform, int J, PanelLayout kOut, class Source>
+std::uint64_t gather_fused_block(const InTile& xt,
                                  const Tile<kOut, float>& yt, index_t j0,
                                  index_t n, const Source& src, float scale,
                                  float bias, float clamp) {
@@ -243,16 +241,14 @@ inline f32x4 epilogue4(f32x4 v, f32x4 scale, f32x4 bias, f32x4 hi) {
   return (f32x4)(((i32x4)v & ~over) | ((i32x4)hi & over));
 }
 
-// The fused gather block over a tiled input for J in {8, 4}: J/4
-// vector accumulators stay in registers from the first edge through
-// the epilogue, the nonzero count is a per-lane compare-and-subtract,
-// and a tiled output takes each 4 lanes as one store (a row-major one,
-// the last layer's, is written lane by lane).  Every lane sums in the
-// scalar block's order with the same IEEE operations, so the two blocks
-// are bit-identical.
+// The fused gather block for J in {8, 4}: J/4 vector accumulators stay
+// in registers from the first edge through the epilogue, the nonzero
+// count is a per-lane compare-and-subtract, and a tiled output takes
+// each 4 lanes as one store (a row-major one, the last layer's, is
+// written lane by lane).  Every lane sums in the scalar block's order
+// with the same IEEE operations, so the two blocks are bit-identical.
 template <bool kUniform, int J, PanelLayout kOut, class Source>
-std::uint64_t gather_vector_block(const Tile<PanelLayout::kTiled,
-                                             const float>& xt,
+std::uint64_t gather_vector_block(const InTile& xt,
                                   const Tile<kOut, float>& yt, index_t j0,
                                   index_t n, const Source& src, float scale,
                                   float bias, float clamp) {
@@ -302,7 +298,7 @@ std::uint64_t gather_vector_block(const Tile<PanelLayout::kTiled,
 // input-index order -- the same order the scatter arm adds
 // contributions -- so both arms, and both input sources, are
 // bit-identical.
-template <bool kUniform, PanelLayout kIn, PanelLayout kOut, class Source>
+template <bool kUniform, PanelLayout kOut, class Source>
 std::uint64_t gather_fused_impl(const float* x, index_t batch, index_t m,
                                 index_t n, std::size_t edges,
                                 const Source& src, float scale, float* y,
@@ -317,10 +313,10 @@ std::uint64_t gather_fused_impl(const float* x, index_t batch, index_t m,
       [&](std::int64_t t) -> std::uint64_t {
         const index_t b0 = static_cast<index_t>(t) * kBatchTile;
         const index_t rows = std::min(batch - b0, kBatchTile);
-        const Tile<kIn, const float> xt(x, b0, rows, m);
+        const InTile xt(x, b0, rows, m);
         const Tile<kOut, float> yt(y, b0, rows, n);
         const auto block = [&]<int J>(index_t j0) {
-          if constexpr (kIn == PanelLayout::kTiled && J % 4 == 0) {
+          if constexpr (J % 4 == 0) {
             return gather_vector_block<kUniform, J>(xt, yt, j0, n, src,
                                                     scale, bias, clamp);
           } else {
@@ -352,12 +348,12 @@ std::uint64_t gather_fused_impl(const float* x, index_t batch, index_t m,
 template <bool kUniform>
 std::uint64_t csrT_fused(const float* x, index_t batch, index_t m,
                          CsrFloatView wt, float scale, float* y, float bias,
-                         float clamp, PanelLayouts layouts) {
+                         float clamp, PanelLayout out) {
   RADIX_REQUIRE_DIM(wt.cols() == m,
                     "spmm_dense_csrT_fused: inner dim mismatch");
   const CsrRows src{wt.rowptr(), wt.colind(), wt.values()};
-  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return gather_fused_impl<kUniform, kIn, kOut>(
+  return dispatch_layout(out, [&]<PanelLayout kOut>() {
+    return gather_fused_impl<kUniform, kOut>(
         x, batch, m, wt.rows(), wt.nnz(), src, scale, y, bias, clamp);
   });
 }
@@ -417,29 +413,29 @@ void spmm_dense_csrT(const float* x, index_t batch, index_t n,
 
 std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
                                    CsrFloatView w, float* y, float bias,
-                                   float clamp, PanelLayouts layouts) {
-  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return csr_fused_impl<false, kIn, kOut>(x, batch, m, w, /*scale=*/1.0f,
-                                            y, bias, clamp);
+                                   float clamp, PanelLayout out) {
+  return dispatch_layout(out, [&]<PanelLayout kOut>() {
+    return csr_fused_impl<false, kOut>(x, batch, m, w, /*scale=*/1.0f, y,
+                                       bias, clamp);
   });
 }
 
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt, float* y,
                                     float bias, float clamp,
-                                    PanelLayouts layouts) {
+                                    PanelLayout out) {
   return csrT_fused<false>(x, batch, m, wt, /*scale=*/1.0f, y, bias, clamp,
-                           layouts);
+                           out);
 }
 
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
                                            index_t m, CsrFloatView w,
                                            float uniform_weight, float* y,
                                            float bias, float clamp,
-                                           PanelLayouts layouts) {
-  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return csr_fused_impl<true, kIn, kOut>(x, batch, m, w, uniform_weight,
-                                           y, bias, clamp);
+                                           PanelLayout out) {
+  return dispatch_layout(out, [&]<PanelLayout kOut>() {
+    return csr_fused_impl<true, kOut>(x, batch, m, w, uniform_weight, y,
+                                      bias, clamp);
   });
 }
 
@@ -447,24 +443,24 @@ std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
                                             float bias, float clamp,
-                                            PanelLayouts layouts) {
+                                            PanelLayout out) {
   return csrT_fused<true>(x, batch, m, wt, uniform_weight, y, bias, clamp,
-                          layouts);
+                          out);
 }
 
 std::uint64_t spmm_dense_windows_fused_uniform(
     const float* x, index_t batch, index_t m, const RadixWindows& win,
     float uniform_weight, float* y, float bias, float clamp,
-    PanelLayouts layouts) {
+    PanelLayout out) {
   RADIX_REQUIRE_DIM(win.modulus == m,
                     "spmm_dense_windows_fused_uniform: inner dim mismatch");
   const WindowRows src(win);
   const std::size_t edges =
       static_cast<std::size_t>(win.outputs()) * win.degree;
-  return dispatch_layouts(layouts, [&]<PanelLayout kIn, PanelLayout kOut>() {
-    return gather_fused_impl<true, kIn, kOut>(x, batch, m, win.outputs(),
-                                              edges, src, uniform_weight, y,
-                                              bias, clamp);
+  return dispatch_layout(out, [&]<PanelLayout kOut>() {
+    return gather_fused_impl<true, kOut>(x, batch, m, win.outputs(), edges,
+                                         src, uniform_weight, y, bias,
+                                         clamp);
   });
 }
 

@@ -33,12 +33,10 @@
 //
 // Panel layouts
 // -------------
-// A fused kernel reads and writes its activation panels in one of two
-// layouts (PanelLayout), chosen per call for input and output
-// separately.  kRowMajor is the batch-major layout above.  kTiled
-// interleaves each batch tile: the tile of L = min(kBatchTile,
-// batch - t0) rows starting at row t0 (a multiple of kBatchTile) stores
-// element (t0 + j, c) at
+// An activation panel is in one of two layouts (PanelLayout).
+// kRowMajor is the batch-major layout above.  kTiled interleaves each
+// batch tile: the tile of L = min(kBatchTile, batch - t0) rows starting
+// at row t0 (a multiple of kBatchTile) stores element (t0 + j, c) at
 //
 //     t0 * width + c * L + j
 //
@@ -47,20 +45,23 @@
 // scattered edge in the scatter arm (row-major touches 8).  A partial
 // last tile uses lane stride L, so a tiled panel is exactly
 // batch x width floats, occupies the same [t0*width, (t0+L)*width)
-// range per tile as its row-major twin, and is the same size.  Layout
-// changes only addresses: each output lane still sums in ascending
-// input-index order, so every layout pair is bit-identical to the
-// row-major call.  tile_panel copies a row-major panel into the tiled
-// layout; SparseDnn::forward uses it once for the input batch, so every
-// layer reads a tiled panel, and keeps the activations between layers
-// tiled (see infer/sparse_dnn.hpp).
+// range per tile as its row-major twin, and is the same size.
+//
+// Every fused kernel reads a tiled input and writes its output in the
+// layout the call names: tiled for a panel that feeds another layer,
+// row-major for a result the caller reads.  Layout changes only
+// addresses: each output lane still sums in ascending input-index order,
+// so both output layouts hold the same bits.  tile_panel copies a
+// row-major panel into the tiled layout; SparseDnn::forward uses it once
+// for the input batch and keeps the activations between layers tiled
+// (see infer/sparse_dnn.hpp).
 //
 // The vector gather block
 // -----------------------
-// Over a tiled input the gather arm runs each full 8- or 4-lane block
-// of a tile in J/4 native 4-float vectors (GCC/Clang vector_size(16):
-// the SSE2 baseline, no compile flag, no intrinsics).  They stay in
-// registers from the first edge to the store: one vector add (weighted:
+// The gather arm runs each full 8- or 4-lane block of a tile in J/4
+// native 4-float vectors (GCC/Clang vector_size(16): the SSE2
+// baseline, no compile flag, no intrinsics).  They stay in registers
+// from the first edge to the store: one vector add (weighted:
 // multiply and add) per 4 lanes per edge, then the epilogue as
 // v * scale + bias, ReLU as compare + and-not (so -0.0 and NaN pass
 // exactly as the scalar `if (v < 0)` lets them), the ceiling as
@@ -69,8 +70,7 @@
 // lanes as one store; a row-major one (the last layer's) is written
 // lane by lane.  Each lane performs the scalar block's IEEE operations
 // in the same order, so the two are bit-identical.  The scalar block
-// remains for the 2- and 1-lane remainders of a partial tile and for a
-// row-major input.
+// serves only the 2- and 1-lane remainders of a partial tile.
 //
 // The fused kernels take the weight matrix as a CsrFloatView (implicitly
 // constructible from Csr<float>, so owning call sites are unchanged):
@@ -81,7 +81,7 @@
 // Gather input sources
 // --------------------
 // The fused gather kernel has one body, templated on where each
-// output's inputs come from (next to the PanelLayout template): the
+// output's inputs come from (next to the output-layout template): the
 // rows of a pre-transposed CSR layer, or -- for a uniform RadiX-Net
 // layer -- the eq. (1) window of sparse/radix_windows.hpp, whose inputs
 // are computed from one start index per output instead of loaded from
@@ -118,12 +118,6 @@ enum class PanelLayout : std::uint8_t {
   kTiled,     ///< (t0 + j, c) at t0 * width + c * L + j, per batch tile
 };
 
-/// Layouts of a fused kernel's input and output panels.
-struct PanelLayouts {
-  PanelLayout in = PanelLayout::kRowMajor;
-  PanelLayout out = PanelLayout::kRowMajor;
-};
-
 /// y[b*n + c] += sum_r x[b*m + r] * w(r, c);  y must be zero-initialized
 /// by the caller (or hold an accumuland).
 void spmm_dense_csr(const float* x, index_t batch, index_t m,
@@ -135,26 +129,27 @@ void spmm_dense_csrT(const float* x, index_t batch, index_t n,
 
 /// Fused scatter kernel: y[b x n] = epilogue(X[b x m] * W[m x n]) with
 /// epilogue(v) = min(clamp, max(0, v + bias)); clamp <= 0 disables the
-/// ceiling.  y is written unconditionally (no zero-init required) and
-/// rows of W whose activation x[b*m + r] is zero are skipped entirely,
-/// which is what makes this arm win on sparse (post-ReLU) activations.
-/// Returns the number of nonzero outputs.  `layouts` picks the panel
-/// layouts of x and y (row-major by default).
+/// ceiling.  x is a tiled panel; y is written unconditionally (no
+/// zero-init required) in layout `out`.  Within a batch tile, rows of W
+/// whose activations X(b, r) are all zero are skipped entirely, which is
+/// what makes this arm win on sparse (post-ReLU) activations.  Returns
+/// the number of nonzero outputs.
 std::uint64_t spmm_dense_csr_fused(const float* x, index_t batch, index_t m,
                                    CsrFloatView w, float* y,
                                    float bias, float clamp,
-                                   PanelLayouts layouts = {});
+                                   PanelLayout out);
 
 /// Fused gather kernel over a pre-transposed layer: given wt = W^T
 /// (n x m), computes y[b x n] = epilogue(X[b x m] * W) by accumulating
 /// each output in registers along wt's rows (pure sequential streaming,
 /// no scatter read-modify-write), then applies the same epilogue before
-/// the single write.  Wins once activations are dense.  Returns the
-/// number of nonzero outputs.
+/// the single write.  Wins once activations are dense.  x is a tiled
+/// panel and y is written in layout `out`.  Returns the number of
+/// nonzero outputs.
 std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
                                     index_t m, CsrFloatView wt,
                                     float* y, float bias, float clamp,
-                                    PanelLayouts layouts = {});
+                                    PanelLayout out);
 
 /// Uniform-weight specializations: Graph-Challenge layers store one
 /// repeated nonzero value (1/16 at in-degree 32), so the inner loop can
@@ -163,27 +158,29 @@ std::uint64_t spmm_dense_csrT_fused(const float* x, index_t batch,
 /// y = min(clamp, max(0, sum * uniform_weight + bias)).  The scatter and
 /// gather forms accumulate in the same order and stay bit-identical to
 /// each other (not to the general kernels: (sum x) * w rounds once where
-/// sum(x * w) rounds per term).
+/// sum(x * w) rounds per term).  x is a tiled panel and y is written in
+/// layout `out`.
 std::uint64_t spmm_dense_csr_fused_uniform(const float* x, index_t batch,
                                            index_t m, CsrFloatView w,
                                            float uniform_weight, float* y,
                                            float bias, float clamp,
-                                           PanelLayouts layouts = {});
+                                           PanelLayout out);
 
 std::uint64_t spmm_dense_csrT_fused_uniform(const float* x, index_t batch,
                                             index_t m, CsrFloatView wt,
                                             float uniform_weight, float* y,
                                             float bias, float clamp,
-                                            PanelLayouts layouts = {});
+                                            PanelLayout out);
 
 /// The uniform fused gather over an implicit layer: output c sums the
 /// inputs of window c of `win` (see "Gather input sources" above).
 /// Bit-identical to spmm_dense_csrT_fused_uniform over the transpose of
-/// the layer the windows were found in.
+/// the layer the windows were found in.  x is a tiled panel and y is
+/// written in layout `out`.
 std::uint64_t spmm_dense_windows_fused_uniform(
     const float* x, index_t batch, index_t m, const RadixWindows& win,
     float uniform_weight, float* y, float bias, float clamp,
-    PanelLayouts layouts = {});
+    PanelLayout out);
 
 /// Copies the row-major [batch x width] panel x into `out` in the tiled
 /// layout, in parallel over batch tiles, and returns x's nonzero count

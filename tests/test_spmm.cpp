@@ -40,6 +40,96 @@ std::vector<float> random_dense(std::size_t n, Rng& rng) {
   return v;
 }
 
+// Reference epilogue of the challenge rule (two independent ifs, same
+// as the historical second sweep).
+float ref_epilogue(float v, float bias, float clamp) {
+  v += bias;
+  if (v < 0.0f) v = 0.0f;
+  if (clamp > 0.0f && v > clamp) v = clamp;
+  return v;
+}
+
+// Tiled panel layout (spmm.hpp), written out independently of the
+// kernels: the tile of L = min(kBatchTile, batch - t0) rows at t0 holds
+// (t0 + j, c) at t0 * width + c * L + j.
+std::size_t tiled_index(index_t b, index_t c, index_t batch, index_t width) {
+  const index_t t0 = b - b % kBatchTile;
+  const index_t rows = std::min(kBatchTile, batch - t0);
+  return static_cast<std::size_t>(t0) * width +
+         static_cast<std::size_t>(c) * rows + (b - t0);
+}
+
+std::vector<float> to_layout(const std::vector<float>& row_major,
+                             index_t batch, index_t width, PanelLayout l) {
+  if (l == PanelLayout::kRowMajor) return row_major;
+  std::vector<float> out(row_major.size());
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < width; ++c) {
+      out[tiled_index(b, c, batch, width)] =
+          row_major[static_cast<std::size_t>(b) * width + c];
+    }
+  }
+  return out;
+}
+
+std::vector<float> from_layout(const std::vector<float>& panel,
+                               index_t batch, index_t width, PanelLayout l) {
+  if (l == PanelLayout::kRowMajor) return panel;
+  std::vector<float> out(panel.size());
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < width; ++c) {
+      out[static_cast<std::size_t>(b) * width + c] =
+          panel[tiled_index(b, c, batch, width)];
+    }
+  }
+  return out;
+}
+
+// Straight-line reference of a fused gather: output c of row b sums
+// its W^T row in ascending input order (plain sums times
+// `uniform_weight` when given, else per-edge products), then the
+// epilogue's two ifs.  Row-major in and out; returns the nonzero count.
+std::uint64_t reference_gather(const std::vector<float>& x, index_t batch,
+                               const Csr<float>& wt,
+                               std::optional<float> uniform_weight,
+                               float bias, float clamp,
+                               std::vector<float>& y) {
+  const index_t m = wt.cols(), n = wt.rows();
+  y.assign(static_cast<std::size_t>(batch) * n, 0.0f);
+  std::uint64_t nz = 0;
+  for (index_t b = 0; b < batch; ++b) {
+    for (index_t c = 0; c < n; ++c) {
+      float acc = 0.0f;
+      for (offset_t k = wt.rowptr()[c]; k < wt.rowptr()[c + 1]; ++k) {
+        const float xv = x[static_cast<std::size_t>(b) * m + wt.colind()[k]];
+        acc += uniform_weight ? xv : xv * wt.values()[k];
+      }
+      float v = acc * uniform_weight.value_or(1.0f) + bias;
+      if (v < 0.0f) v = 0.0f;
+      if (clamp > 0.0f && v > clamp) v = clamp;
+      y[static_cast<std::size_t>(b) * n + c] = v;
+      nz += v != 0.0f ? 1 : 0;
+    }
+  }
+  return nz;
+}
+
+// Straight-line reference of the weighted fused scatter: the unfused
+// spmm_dense_csr, then ref_epilogue.  Row-major in and out; returns the
+// nonzero count.
+std::uint64_t reference_scatter(const std::vector<float>& x, index_t batch,
+                                const Csr<float>& w, float bias, float clamp,
+                                std::vector<float>& y) {
+  y.assign(static_cast<std::size_t>(batch) * w.cols(), 0.0f);
+  spmm_dense_csr(x.data(), batch, w.rows(), w, y.data());
+  std::uint64_t nz = 0;
+  for (auto& v : y) {
+    v = ref_epilogue(v, bias, clamp);
+    nz += v != 0.0f ? 1 : 0;
+  }
+  return nz;
+}
+
 TEST(Spmm, DenseCsrMatchesReference) {
   Rng rng(11);
   const index_t batch = 4, m = 7, n = 9;
@@ -133,55 +223,62 @@ TEST(Spmm, SddmmPatternMatchesReference) {
 TEST(Spmm, ZeroBatchIsANoOp) {
   Rng rng(15);
   const auto w = random_csr(4, 4, 0.5, rng);
+  const auto wt = w.transpose();
+  const RadixWindows win{{0, 1, 2, 3}, 1, 2, 4};
   spmm_dense_csr(nullptr, 0, 4, w, nullptr);
   spmm_dense_csrT(nullptr, 0, 4, w, nullptr);
-  EXPECT_EQ(spmm_dense_csr_fused(nullptr, 0, 4, w, nullptr, 0.1f, 2.0f),
-            0u);
-  EXPECT_EQ(spmm_dense_csrT_fused(nullptr, 0, 4, w.transpose(), nullptr,
-                                  0.1f, 2.0f),
-            0u);
-}
-
-// Reference epilogue of the challenge rule (two independent ifs, same
-// as the historical second sweep).
-float ref_epilogue(float v, float bias, float clamp) {
-  v += bias;
-  if (v < 0.0f) v = 0.0f;
-  if (clamp > 0.0f && v > clamp) v = clamp;
-  return v;
+  for (const PanelLayout out : {PanelLayout::kRowMajor, PanelLayout::kTiled}) {
+    EXPECT_EQ(spmm_dense_csr_fused(nullptr, 0, 4, w, nullptr, 0.1f, 2.0f,
+                                   out),
+              0u);
+    EXPECT_EQ(spmm_dense_csrT_fused(nullptr, 0, 4, wt, nullptr, 0.1f, 2.0f,
+                                    out),
+              0u);
+    EXPECT_EQ(spmm_dense_csr_fused_uniform(nullptr, 0, 4, w, 0.5f, nullptr,
+                                           0.1f, 2.0f, out),
+              0u);
+    EXPECT_EQ(spmm_dense_csrT_fused_uniform(nullptr, 0, 4, wt, 0.5f, nullptr,
+                                            0.1f, 2.0f, out),
+              0u);
+    EXPECT_EQ(spmm_dense_windows_fused_uniform(nullptr, 0, 4, win, 0.5f,
+                                               nullptr, 0.1f, 2.0f, out),
+              0u);
+  }
 }
 
 TEST(Spmm, FusedScatterMatchesUnfusedPlusEpilogue) {
+  // Both weighted arms, fed the tiled input, into either output layout.
   Rng rng(16);
   const index_t batch = 13, m = 23, n = 17;  // odd sizes: remainder tile
   const auto w = random_csr(m, n, 0.4, rng);
+  const auto wt = w.transpose();
   auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
   for (std::size_t i = 0; i < x.size(); i += 3) x[i] = 0.0f;  // skips
   const float bias = -0.05f, clamp = 0.6f;
+  const auto xin = to_layout(x, batch, m, PanelLayout::kTiled);
 
-  std::vector<float> want(static_cast<std::size_t>(batch) * n, 0.0f);
-  spmm_dense_csr(x.data(), batch, m, w, want.data());
-  std::uint64_t want_nz = 0;
-  for (auto& v : want) {
-    v = ref_epilogue(v, bias, clamp);
-    want_nz += v != 0.0f ? 1 : 0;
-  }
+  std::vector<float> want;
+  const auto want_nz = reference_scatter(x, batch, w, bias, clamp, want);
 
-  std::vector<float> got(want.size(), -1.0f);  // fused needs no zero-init
-  const auto nz =
-      spmm_dense_csr_fused(x.data(), batch, m, w, got.data(), bias, clamp);
-  EXPECT_EQ(nz, want_nz);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << i;  // bit-exact, same summation order
-  }
+  for (const PanelLayout out : {PanelLayout::kRowMajor, PanelLayout::kTiled}) {
+    std::vector<float> got(want.size(), -1.0f);  // fused needs no zero-init
+    const auto nz = spmm_dense_csr_fused(xin.data(), batch, m, w, got.data(),
+                                         bias, clamp, out);
+    EXPECT_EQ(nz, want_nz);
+    const auto back = from_layout(got, batch, n, out);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(back[i], want[i]) << i;  // bit-exact, same summation order
+    }
 
-  // Gather arm over the transposed layer: same result, bit for bit.
-  std::vector<float> gat(want.size(), -2.0f);
-  const auto nz2 = spmm_dense_csrT_fused(x.data(), batch, m, w.transpose(),
-                                         gat.data(), bias, clamp);
-  EXPECT_EQ(nz2, want_nz);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(gat[i], want[i]) << i;
+    // Gather arm over the transposed layer: same result, bit for bit.
+    std::vector<float> gat(want.size(), -2.0f);
+    const auto nz2 = spmm_dense_csrT_fused(xin.data(), batch, m, wt,
+                                           gat.data(), bias, clamp, out);
+    EXPECT_EQ(nz2, want_nz);
+    const auto gback = from_layout(gat, batch, n, out);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(gback[i], want[i]) << i;
+    }
   }
 }
 
@@ -199,53 +296,21 @@ TEST(Spmm, FusedUniformArmsAgreeBitExact) {
   const index_t batch = 11;
   auto x = random_dense(static_cast<std::size_t>(batch) * 19, rng);
   for (auto& v : x) v = v < 0.0f ? 0.0f : v;  // activation-like input
+  const auto xin = to_layout(x, batch, 19, PanelLayout::kTiled);
 
-  std::vector<float> a(static_cast<std::size_t>(batch) * 21);
-  std::vector<float> b(a.size());
-  const auto nza = spmm_dense_csr_fused_uniform(x.data(), batch, 19, w,
-                                                0.0625f, a.data(), -0.1f,
-                                                0.5f);
-  const auto nzb = spmm_dense_csrT_fused_uniform(x.data(), batch, 19,
-                                                 w.transpose(), 0.0625f,
-                                                 b.data(), -0.1f, 0.5f);
-  EXPECT_EQ(nza, nzb);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
-}
-
-// Tiled panel layout (spmm.hpp), written out independently of the
-// kernels: the tile of L = min(kBatchTile, batch - t0) rows at t0 holds
-// (t0 + j, c) at t0 * width + c * L + j.
-std::size_t tiled_index(index_t b, index_t c, index_t batch, index_t width) {
-  const index_t t0 = b - b % kBatchTile;
-  const index_t rows = std::min(kBatchTile, batch - t0);
-  return static_cast<std::size_t>(t0) * width +
-         static_cast<std::size_t>(c) * rows + (b - t0);
-}
-
-std::vector<float> to_layout(const std::vector<float>& row_major,
-                             index_t batch, index_t width, PanelLayout l) {
-  if (l == PanelLayout::kRowMajor) return row_major;
-  std::vector<float> out(row_major.size());
-  for (index_t b = 0; b < batch; ++b) {
-    for (index_t c = 0; c < width; ++c) {
-      out[tiled_index(b, c, batch, width)] =
-          row_major[static_cast<std::size_t>(b) * width + c];
-    }
+  for (const PanelLayout out : {PanelLayout::kRowMajor, PanelLayout::kTiled}) {
+    std::vector<float> a(static_cast<std::size_t>(batch) * 21);
+    std::vector<float> b(a.size());
+    const auto nza = spmm_dense_csr_fused_uniform(xin.data(), batch, 19, w,
+                                                  0.0625f, a.data(), -0.1f,
+                                                  0.5f, out);
+    const auto nzb = spmm_dense_csrT_fused_uniform(xin.data(), batch, 19,
+                                                   w.transpose(), 0.0625f,
+                                                   b.data(), -0.1f, 0.5f,
+                                                   out);
+    EXPECT_EQ(nza, nzb);
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
   }
-  return out;
-}
-
-std::vector<float> from_layout(const std::vector<float>& panel,
-                               index_t batch, index_t width, PanelLayout l) {
-  if (l == PanelLayout::kRowMajor) return panel;
-  std::vector<float> out(panel.size());
-  for (index_t b = 0; b < batch; ++b) {
-    for (index_t c = 0; c < width; ++c) {
-      out[static_cast<std::size_t>(b) * width + c] =
-          panel[tiled_index(b, c, batch, width)];
-    }
-  }
-  return out;
 }
 
 TEST(Spmm, TiledIndexIsAPermutation) {
@@ -261,11 +326,13 @@ TEST(Spmm, TiledIndexIsAPermutation) {
   }
 }
 
-TEST(Spmm, EveryLayoutPairMatchesRowMajorBitExact) {
-  // Both arms, general and uniform, in every (input, output) layout
-  // pair: after (de)interleaving, the same bits and nonzero count as the
-  // row-major call.  Batches cover full tiles, every partial-tile size
-  // and their mix.
+TEST(Spmm, EveryOutputLayoutMatchesReferenceBitExact) {
+  // Both arms, general and uniform, fed a tiled input, into either
+  // output layout: after de-interleaving, the same bits and nonzero
+  // count as the straight-line reference (the unfused spmm_dense_csr
+  // plus ref_epilogue for the weighted scatter, reference_gather for
+  // the other three).  Batches cover full tiles, every partial-tile
+  // size and their mix.
   Rng rng(18);
   const index_t m = 37, n = 29;
   const auto w = random_csr(m, n, 0.3, rng);
@@ -286,9 +353,11 @@ TEST(Spmm, EveryLayoutPairMatchesRowMajorBitExact) {
     auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
     for (std::size_t i = 0; i < x.size(); i += 4) x[i] = 0.0f;  // skips
     for (auto& v : x) v = v < -0.5f ? 0.0f : v;
+    const auto xin = to_layout(x, batch, m, kTiled);
     const std::size_t out_size = static_cast<std::size_t>(batch) * n;
     for (int arm = 0; arm < 4; ++arm) {
-      const auto run = [&](const float* in, float* out, PanelLayouts l) {
+      const auto run = [&](float* out, PanelLayout l) {
+        const float* in = xin.data();
         switch (arm) {
           case 0:
             return spmm_dense_csr_fused(in, batch, m, w, out, bias, clamp, l);
@@ -303,21 +372,22 @@ TEST(Spmm, EveryLayoutPairMatchesRowMajorBitExact) {
                                                  out, bias, clamp, l);
         }
       };
-      std::vector<float> want(out_size);
-      const auto want_nz = run(x.data(), want.data(), {});
-      for (PanelLayout in : {kRowMajor, kTiled}) {
-        for (PanelLayout out : {kRowMajor, kTiled}) {
-          const auto xin = to_layout(x, batch, m, in);
-          std::vector<float> got(out_size, -3.0f);
-          const auto nz = run(xin.data(), got.data(), {in, out});
-          const auto back = from_layout(got, batch, n, out);
-          EXPECT_EQ(nz, want_nz) << names[arm] << " batch " << batch;
-          for (std::size_t i = 0; i < out_size; ++i) {
-            ASSERT_EQ(back[i], want[i])
-                << names[arm] << " batch " << batch << " in "
-                << (in == kTiled) << " out " << (out == kTiled) << " at "
-                << i;
-          }
+      std::vector<float> want;
+      const auto want_nz =
+          arm == 0 ? reference_scatter(x, batch, w, bias, clamp, want)
+          : arm == 1
+              ? reference_gather(x, batch, wt, std::nullopt, bias, clamp,
+                                 want)
+              : reference_gather(x, batch, ut, 0.0625f, bias, clamp, want);
+      for (PanelLayout out : {kRowMajor, kTiled}) {
+        std::vector<float> got(out_size, -3.0f);
+        const auto nz = run(got.data(), out);
+        const auto back = from_layout(got, batch, n, out);
+        EXPECT_EQ(nz, want_nz) << names[arm] << " batch " << batch;
+        for (std::size_t i = 0; i < out_size; ++i) {
+          ASSERT_EQ(back[i], want[i])
+              << names[arm] << " batch " << batch << " out "
+              << (out == kTiled) << " at " << i;
         }
       }
     }
@@ -479,9 +549,10 @@ TEST(RadixWindows, FallsBackOnEveryOtherStructure) {
 
 TEST(Spmm, WindowGatherMatchesExplicitGatherEveryLayoutBitExact) {
   // The implicit gather against the explicit uniform gather over the
-  // same layer's transpose: the same bits and nonzero count in every
-  // layout pair and at every batch 1..17, over layers with wrapping
-  // windows (shuffled challenge layers, strides 1 and 32).
+  // same layer's transpose, both fed the same tiled input: the same bits
+  // and nonzero count in either output layout and at every batch 1..17,
+  // and both equal to the straight-line reference, over layers with
+  // wrapping windows (shuffled challenge layers, strides 1 and 32).
   Rng srng(9);
   const auto net = gc::network(1024, 2, &srng);
   Rng rng(19);
@@ -495,55 +566,31 @@ TEST(Spmm, WindowGatherMatchesExplicitGatherEveryLayoutBitExact) {
     for (index_t batch = 1; batch <= 17; ++batch) {
       auto x = random_dense(static_cast<std::size_t>(batch) * m, rng);
       for (auto& v : x) v = v < -0.3f ? 0.0f : v;
+      const auto xin = to_layout(x, batch, m, kTiled);
       const std::size_t out_size = static_cast<std::size_t>(batch) * n;
-      for (PanelLayout in : {kRowMajor, kTiled}) {
-        for (PanelLayout out : {kRowMajor, kTiled}) {
-          std::vector<float> want(out_size), got(out_size, -3.0f);
-          const auto want_nz = spmm_dense_csrT_fused_uniform(
-              x.data(), batch, m, wt, uw, want.data(), -0.05f, 0.9f,
-              {in, out});
-          const auto nz = spmm_dense_windows_fused_uniform(
-              x.data(), batch, m, *win, uw, got.data(), -0.05f, 0.9f,
-              {in, out});
-          EXPECT_EQ(nz, want_nz) << "batch " << batch;
-          for (std::size_t i = 0; i < out_size; ++i) {
-            ASSERT_EQ(got[i], want[i])
-                << "batch " << batch << " in " << (in == kTiled) << " out "
-                << (out == kTiled) << " at " << i;
-          }
+      std::vector<float> ref;
+      const auto ref_nz =
+          reference_gather(x, batch, wt, uw, -0.05f, 0.9f, ref);
+      for (PanelLayout out : {kRowMajor, kTiled}) {
+        std::vector<float> want(out_size), got(out_size, -3.0f);
+        const auto want_nz = spmm_dense_csrT_fused_uniform(
+            xin.data(), batch, m, wt, uw, want.data(), -0.05f, 0.9f, out);
+        const auto nz = spmm_dense_windows_fused_uniform(
+            xin.data(), batch, m, *win, uw, got.data(), -0.05f, 0.9f, out);
+        EXPECT_EQ(nz, want_nz) << "batch " << batch;
+        EXPECT_EQ(nz, ref_nz) << "batch " << batch;
+        const auto back = from_layout(got, batch, n, out);
+        for (std::size_t i = 0; i < out_size; ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "batch " << batch << " out " << (out == kTiled) << " at "
+              << i;
+          ASSERT_EQ(back[i], ref[i])
+              << "batch " << batch << " out " << (out == kTiled) << " at "
+              << i;
         }
       }
     }
   }
-}
-
-// Straight-line reference of a fused gather: output c of row b sums
-// its W^T row in ascending input order (plain sums times
-// `uniform_weight` when given, else per-edge products), then the
-// epilogue's two ifs.  Row-major in and out; returns the nonzero count.
-std::uint64_t reference_gather(const std::vector<float>& x, index_t batch,
-                               const Csr<float>& wt,
-                               std::optional<float> uniform_weight,
-                               float bias, float clamp,
-                               std::vector<float>& y) {
-  const index_t m = wt.cols(), n = wt.rows();
-  y.assign(static_cast<std::size_t>(batch) * n, 0.0f);
-  std::uint64_t nz = 0;
-  for (index_t b = 0; b < batch; ++b) {
-    for (index_t c = 0; c < n; ++c) {
-      float acc = 0.0f;
-      for (offset_t k = wt.rowptr()[c]; k < wt.rowptr()[c + 1]; ++k) {
-        const float xv = x[static_cast<std::size_t>(b) * m + wt.colind()[k]];
-        acc += uniform_weight ? xv : xv * wt.values()[k];
-      }
-      float v = acc * uniform_weight.value_or(1.0f) + bias;
-      if (v < 0.0f) v = 0.0f;
-      if (clamp > 0.0f && v > clamp) v = clamp;
-      y[static_cast<std::size_t>(b) * n + c] = v;
-      nz += v != 0.0f ? 1 : 0;
-    }
-  }
-  return nz;
 }
 
 TEST(Spmm, GatherEpilogueAtTheVectorBoundaryBitExact) {
@@ -554,7 +601,8 @@ TEST(Spmm, GatherEpilogueAtTheVectorBoundaryBitExact) {
   // (negative weights and biases), no ceiling (clamp 0 and -1), sums
   // landing exactly on the clamp (every input and weight a multiple of
   // 1/2), -0.0 results (+0 sums times a negative uniform weight plus a
-  // -0.0 bias) and a NaN input.
+  // -0.0 bias) and a NaN input.  Every kernel reads the tiled input and
+  // writes either output layout.
   Rng rng(23);
   const index_t m = 37, nu = 3, d = 6, n = 29;  // windows wrap
   std::vector<index_t> start(n);
@@ -574,6 +622,7 @@ TEST(Spmm, GatherEpilogueAtTheVectorBoundaryBitExact) {
     std::vector<float> x(static_cast<std::size_t>(batch) * m);
     for (auto& v : x) v = kInputs[rng.uniform(8)];
     if (batch % 5 == 0) x[rng.uniform(x.size())] = NAN;
+    const auto xin = to_layout(x, batch, m, kTiled);
     const std::size_t out_size = static_cast<std::size_t>(batch) * n;
     for (const float uw : {0.5f, -0.5f}) {
       for (const float bias : {-0.0f, -0.5f, 0.25f}) {
@@ -584,50 +633,44 @@ TEST(Spmm, GatherEpilogueAtTheVectorBoundaryBitExact) {
           const auto nz_w = reference_gather(x, batch, weighted_t,
                                              std::nullopt, bias, clamp,
                                              want_w);
-          for (PanelLayout in : {kTiled, kRowMajor}) {
-            const auto xin = to_layout(x, batch, m, in);
-            for (PanelLayout out : {kTiled, kRowMajor}) {
-              const PanelLayouts l{in, out};
-              const auto check = [&](const char* arm, auto run,
-                                     const std::vector<float>& want,
-                                     std::uint64_t want_nz) {
-                std::vector<float> got(out_size, -3.0f);
-                const std::uint64_t nz = run(got.data());
-                const auto back = from_layout(got, batch, n, out);
-                const std::string tag =
-                    std::string(arm) + " batch " + std::to_string(batch) +
-                    " uw " + std::to_string(uw) + " bias " +
-                    std::to_string(bias) + " clamp " +
-                    std::to_string(clamp) + " in " +
-                    std::to_string(in == kTiled) + " out " +
-                    std::to_string(out == kTiled);
-                EXPECT_EQ(nz, want_nz) << tag;
-                EXPECT_EQ(std::memcmp(back.data(), want.data(),
-                                      out_size * sizeof(float)),
-                          0)
-                    << tag;
-              };
-              check("window gather", [&](float* y) {
-                return spmm_dense_windows_fused_uniform(
-                    xin.data(), batch, m, *win, uw, y, bias, clamp, l);
-              }, want_u, nz_u);
-              check("uniform gather", [&](float* y) {
-                return spmm_dense_csrT_fused_uniform(
-                    xin.data(), batch, m, pt, uw, y, bias, clamp, l);
-              }, want_u, nz_u);
-              check("uniform scatter", [&](float* y) {
-                return spmm_dense_csr_fused_uniform(
-                    xin.data(), batch, m, pattern, uw, y, bias, clamp, l);
-              }, want_u, nz_u);
-              check("weighted gather", [&](float* y) {
-                return spmm_dense_csrT_fused(xin.data(), batch, m,
-                                             weighted_t, y, bias, clamp, l);
-              }, want_w, nz_w);
-              check("weighted scatter", [&](float* y) {
-                return spmm_dense_csr_fused(xin.data(), batch, m, weighted,
-                                            y, bias, clamp, l);
-              }, want_w, nz_w);
-            }
+          for (PanelLayout out : {kTiled, kRowMajor}) {
+            const auto check = [&](const char* arm, auto run,
+                                   const std::vector<float>& want,
+                                   std::uint64_t want_nz) {
+              std::vector<float> got(out_size, -3.0f);
+              const std::uint64_t nz = run(got.data());
+              const auto back = from_layout(got, batch, n, out);
+              const std::string tag =
+                  std::string(arm) + " batch " + std::to_string(batch) +
+                  " uw " + std::to_string(uw) + " bias " +
+                  std::to_string(bias) + " clamp " + std::to_string(clamp) +
+                  " out " + std::to_string(out == kTiled);
+              EXPECT_EQ(nz, want_nz) << tag;
+              EXPECT_EQ(std::memcmp(back.data(), want.data(),
+                                    out_size * sizeof(float)),
+                        0)
+                  << tag;
+            };
+            check("window gather", [&](float* y) {
+              return spmm_dense_windows_fused_uniform(
+                  xin.data(), batch, m, *win, uw, y, bias, clamp, out);
+            }, want_u, nz_u);
+            check("uniform gather", [&](float* y) {
+              return spmm_dense_csrT_fused_uniform(
+                  xin.data(), batch, m, pt, uw, y, bias, clamp, out);
+            }, want_u, nz_u);
+            check("uniform scatter", [&](float* y) {
+              return spmm_dense_csr_fused_uniform(
+                  xin.data(), batch, m, pattern, uw, y, bias, clamp, out);
+            }, want_u, nz_u);
+            check("weighted gather", [&](float* y) {
+              return spmm_dense_csrT_fused(xin.data(), batch, m, weighted_t,
+                                           y, bias, clamp, out);
+            }, want_w, nz_w);
+            check("weighted scatter", [&](float* y) {
+              return spmm_dense_csr_fused(xin.data(), batch, m, weighted, y,
+                                          bias, clamp, out);
+            }, want_w, nz_w);
           }
         }
       }
